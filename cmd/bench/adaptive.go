@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/benchkit"
 	"repro/internal/core"
+	"repro/internal/doe"
 	"repro/internal/rsm"
 	"repro/internal/simcache"
 )
@@ -47,23 +48,18 @@ func benchAdaptiveSavings(r *benchkit.Report) error {
 
 		// Held-out truth: 100 uniform coded points, simulated once.
 		pts := randomCoded(k, 100, 99)
-		truth := map[core.ResponseID][]float64{}
-		for _, x := range pts {
-			resp, err := p.ResponsesAtContext(ctx, x)
-			if err != nil {
-				return fmt.Errorf("adaptive bench: validation sim: %w", err)
-			}
-			for _, id := range p.Responses {
-				truth[id] = append(truth[id], resp[id])
-			}
+		held, err := p.RunDesign(ctx, &doe.Design{Name: "holdout", Runs: pts}, 1)
+		if err != nil {
+			return fmt.Errorf("adaptive bench: validation sim: %w", err)
 		}
+		truth := held.Y
 
 		// Fixed reference: the full CCF design, built as `ehdoe build` would.
 		design, err := core.NamedDesign("ccf", k, 0, 4)
 		if err != nil {
 			return err
 		}
-		ds, err := p.RunDesignContext(ctx, design, 0)
+		ds, err := p.RunDesign(ctx, design, 0)
 		if err != nil {
 			return fmt.Errorf("adaptive bench: fixed build: %w", err)
 		}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -310,7 +311,7 @@ func fitSurfaces() (*core.SavedSurfaces, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds, err := p.RunDesign(design)
+	ds, err := p.RunDesign(context.Background(), design, 1)
 	if err != nil {
 		return nil, err
 	}

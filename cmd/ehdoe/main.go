@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -29,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/doe"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/opt"
@@ -186,7 +188,7 @@ func cmdBuild(args []string) error {
 			return err
 		}
 		fmt.Printf("running %d simulations (%s, horizon %.0f s)...\n", design.N(), design.Name, *horizon)
-		if ds, err = p.RunDesignContext(ctx, design, *workers); err != nil {
+		if ds, err = p.RunDesign(ctx, design, *workers); err != nil {
 			return err
 		}
 		if s, err = p.BuildSurfaces(ds, quad); err != nil {
@@ -463,7 +465,7 @@ func cmdOptimize(args []string) error {
 		if err := withResilience(p); err != nil {
 			return err
 		}
-		resp, err := p.ResponsesAtContext(ctx, best.X)
+		resp, err := p.ResponsesAt(ctx, best.X)
 		if err != nil {
 			return err
 		}
@@ -499,28 +501,33 @@ func cmdValidate(args []string) error {
 		return err
 	}
 	rng := rand.New(rand.NewSource(*seed))
-	t := report.NewTable(fmt.Sprintf("validation at %d fresh points", *n),
-		"response", "mean_abs_err", "max_abs_err")
-	sums := map[core.ResponseID]float64{}
-	maxs := map[core.ResponseID]float64{}
-	for i := 0; i < *n; i++ {
+	d := &doe.Design{Name: "validate", Runs: make([][]float64, *n)}
+	for i := range d.Runs {
 		x := make([]float64, len(ss.Factors))
 		for j := range x {
 			x[j] = rng.Float64()*2 - 1
 		}
-		resp, err := p.ResponsesAtContext(ctx, x)
-		if err != nil {
-			return err
+		d.Runs[i] = x
+	}
+	ds, err := p.RunDesign(ctx, d, 1)
+	if err != nil {
+		return err
+	}
+	t := report.NewTable(fmt.Sprintf("validation at %d fresh points", *n),
+		"response", "mean_abs_err", "max_abs_err")
+	sums := map[core.ResponseID]float64{}
+	maxs := map[core.ResponseID]float64{}
+	for _, id := range ss.Responses() {
+		sims, ok := ds.Y[id]
+		if !ok {
+			return fmt.Errorf("validate: the problem does not simulate response %q", id)
 		}
-		for _, id := range ss.Responses() {
+		for i, x := range d.Runs {
 			pred, err := ss.Predict(id, x)
 			if err != nil {
 				return err
 			}
-			e := pred - resp[id]
-			if e < 0 {
-				e = -e
-			}
+			e := math.Abs(pred - sims[i])
 			sums[id] += e
 			if e > maxs[id] {
 				maxs[id] = e

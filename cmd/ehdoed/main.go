@@ -86,7 +86,6 @@ func main() {
 	clusterHeartbeat := flag.Duration("cluster-heartbeat", 2*time.Second, "worker-fleet heartbeat interval advertised to simnode workers")
 	clusterLeaseTimeout := flag.Duration("cluster-lease-timeout", 60*time.Second, "worker-fleet lease age past which slow leases are stolen")
 	clusterLeasePoints := flag.Int("cluster-lease-points", 4, "max design points per worker-fleet lease")
-	strictAPI := flag.Bool("strict-api", false, "reject deprecated request fields (the legacy \"amp\" alias) with code bad_field")
 	admission := flag.Bool("admission", true, "per-endpoint admission control (load shedding with Retry-After)")
 	limitSurface := flag.Int("limit-surface", 0, "max concurrent surface requests (predict/sweep/optimize) per endpoint (0 = 4×GOMAXPROCS)")
 	limitValidate := flag.Int("limit-validate", 0, "max concurrent validate requests (0 = GOMAXPROCS)")
@@ -118,8 +117,8 @@ func main() {
 	cache := simcache.New(simcache.Options{Capacity: *cacheSize, Dir: *cacheDir})
 	// The problem factory wires the resilience policy (and the optional
 	// fault injector, in front of the cache) into every build/validate.
-	problem := func(amp, horizon float64) *core.Problem {
-		p := core.StandardProblem(amp, horizon)
+	problem := func(excite, horizon float64) *core.Problem {
+		p := core.StandardProblem(excite, horizon)
 		p.Retry = core.RetryPolicy{MaxAttempts: *runRetries + 1, BaseDelay: *retryBase}
 		p.RunTimeout = *runTimeout
 		var runner simcache.Runner = cache
@@ -137,7 +136,6 @@ func main() {
 		Logger:      logger,
 		EnablePprof: *pprof,
 		JobTimeout:  *jobTimeout,
-		StrictAPI:   *strictAPI,
 		Load: serve.LoadConfig{
 			Disable:      !*admission,
 			Surface:      serve.EndpointLimit{MaxConcurrent: *limitSurface, MaxWait: *limitWait},

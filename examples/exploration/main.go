@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("building surfaces from %d simulations...\n\n", design.N())
-	ds, err := p.RunDesign(design)
+	ds, err := p.RunDesign(context.Background(), design, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("building surfaces from %d simulations (parallel)...\n\n", design.N())
-	ds, err := p.RunDesignParallel(design, 0)
+	ds, err := p.RunDesign(context.Background(), design, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("running %d simulations (%s)...\n", design.N(), design.Name)
-	ds, err := p.RunDesign(design)
+	ds, err := p.RunDesign(context.Background(), design, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

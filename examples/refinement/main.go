@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -42,18 +43,19 @@ func main() {
 		}
 		valNatural[i] = nat
 	}
-	simVals := make([]float64, nVal)
+	holdout := &doe.Design{Name: "holdout", Runs: make([][]float64, nVal)}
 	for i, nat := range valNatural {
 		coded := make([]float64, k)
 		for j, f := range full.Factors {
 			coded[j] = f.Encode(nat[j])
 		}
-		resp, err := full.ResponsesAt(coded)
-		if err != nil {
-			log.Fatal(err)
-		}
-		simVals[i] = resp[core.RespHarvestedPower]
+		holdout.Runs[i] = coded
 	}
+	held, err := full.RunDesign(context.Background(), holdout, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	simVals := held.Y[core.RespHarvestedPower]
 
 	t := report.NewTable("sequential refinement of the harvested-power surface",
 		"region", "R2", "PRESS_R2", "val_RMSE_uW")
@@ -65,7 +67,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		ds, err := prob.RunDesignParallel(design, 0)
+		ds, err := prob.RunDesign(context.Background(), design, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

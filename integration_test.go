@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestEndToEndDesignFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := p.RunDesignParallel(design, 0)
+	ds, err := p.RunDesign(context.Background(), design, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

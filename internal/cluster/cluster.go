@@ -28,7 +28,7 @@
 // Determinism: the simulator is deterministic and design points are
 // distributed verbatim (encoding/json round-trips float64 exactly), so a
 // fleet build assembles a Dataset bit-identical to a local
-// RunDesignContext run — regardless of worker count, lease interleaving,
+// Problem.RunDesign run — regardless of worker count, lease interleaving,
 // or mid-build worker loss.
 package cluster
 

@@ -83,7 +83,7 @@ type AdaptiveConfig struct {
 	// Workers is the per-round simulation parallelism (≤0 = GOMAXPROCS).
 	Workers int
 	// RunDesign, when set, executes one round's design instead of the local
-	// RunDesignContext pool — the seam the cluster coordinator plugs into.
+	// RunDesign pool — the seam the cluster coordinator plugs into.
 	// Either way each round inherits the full PR 4/8 machinery: retries,
 	// deadlines, batch prepass, cache, cancellation.
 	RunDesign func(ctx context.Context, d *doe.Design) (*Dataset, error)
@@ -194,7 +194,7 @@ type roundQuality struct {
 //
 // On a round failure the partial cumulative Dataset (Y-less, carrying
 // timing and fault-recovery stats) is returned alongside the error, like
-// RunDesignContext does.
+// RunDesign does.
 func (p *Problem) RunAdaptive(ctx context.Context, cfg AdaptiveConfig) (*AdaptiveResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -237,7 +237,7 @@ func (p *Problem) RunAdaptive(ctx context.Context, cfg AdaptiveConfig) (*Adaptiv
 	runRound := cfg.RunDesign
 	if runRound == nil {
 		runRound = func(ctx context.Context, d *doe.Design) (*Dataset, error) {
-			return p.RunDesignContext(ctx, d, cfg.Workers)
+			return p.RunDesign(ctx, d, cfg.Workers)
 		}
 	}
 

@@ -230,7 +230,7 @@ func TestAdaptivePartialDatasetOnRoundFailure(t *testing.T) {
 			calls++
 			if calls == 3 {
 				// A mid-round failure still hands back whatever stats the
-				// round produced, like RunDesignContext does.
+				// round produced, like RunDesign does.
 				return &Dataset{Design: &doe.Design{}, SimWork: time.Millisecond, Retries: 2}, errors.New("round blew up")
 			}
 			return inner(ctx, d)

@@ -49,10 +49,11 @@ const maxBatchLanes = 16
 
 // cacheLookup and cacheInsert are the optional capabilities of a Runner
 // the prepass uses to peel already-cached points out of a batch and to
-// publish freshly batched results. *simcache.Cache implements both; a
-// fault-injecting or otherwise opaque Runner implements neither, in which
-// case the prepass neither peels nor publishes and every point flows
-// through the runner as usual.
+// publish freshly batched results. *simcache.Cache implements both. An
+// opaque Runner (a fault injector, a test double) implements neither: the
+// prepass then peels nothing and publishes nothing, but it still batches
+// every point, so those points never reach the opaque runner at all —
+// only the points the prepass could not settle do.
 type cacheLookup interface {
 	Lookup(ctx context.Context, key, engine string) (*sim.Result, bool)
 }
@@ -60,54 +61,34 @@ type cacheInsert interface {
 	Insert(key, engine string, res *sim.Result)
 }
 
-// prepassRunner serves results warmed by a batch prepass and delegates
-// everything else — cache misses, retries of points whose lane failed —
-// to the underlying runner unchanged, so the PR 4 retry/timeout/abort
-// semantics of the per-point path apply verbatim.
-type prepassRunner struct {
-	under simcache.Runner
-
-	mu      sync.Mutex
-	results map[string]*sim.Result
-}
-
-func (r *prepassRunner) Run(ctx context.Context, engine string, fn simcache.Engine, d sim.Design, cfg sim.Config) (*sim.Result, error) {
-	if key, err := simcache.Fingerprint(engine, d, cfg); err == nil {
-		r.mu.Lock()
-		res := r.results[key]
-		r.mu.Unlock()
-		if res != nil {
-			return res, nil
-		}
-	}
-	return r.under.Run(ctx, engine, fn, d, cfg)
-}
-
-// batchPoint is one design point resolved to its concrete simulation
-// request plus its cache key.
+// batchPoint is one unique design point resolved to its concrete
+// simulation request, plus the run indices that share it (duplicate
+// points such as CCF centre replicates share one result).
 type batchPoint struct {
-	key string
-	d   sim.Design
-	cfg sim.Config
+	key  string
+	runs []int
+	d    sim.Design
+	cfg  sim.Config
 }
 
-// PrewarmBatch runs the batch prepass for a set of coded design points:
+// prewarmBatch runs the batch prepass for a set of coded design points:
 // it resolves each point to its concrete (design, config) request, peels
 // the ones the cache already holds, partitions the rest into K-lane
 // chunks grouped by identical config (lanes must share the time base and
 // excitation), and steps each chunk through sim.RunBatchStats. The
-// returned Problem copy answers those points from the warmed results;
-// every point the prepass could not handle — build errors, lane errors,
-// unfingerprintable requests, a custom Engine — falls through to the
-// underlying runner with full per-point retry/timeout semantics.
+// returned slice holds, per point index, the warmed result or nil; every
+// point the prepass could not settle — build errors, lane errors,
+// unfingerprintable requests, a custom Engine — is left nil for the
+// caller's per-point path with its full retry/timeout semantics.
 //
 // The prepass is strictly best-effort: it can only pre-pay work the
 // per-point path would do anyway, never fail a run on its own.
-func (p *Problem) PrewarmBatch(ctx context.Context, points [][]float64, workers int) (*Problem, *BatchStats) {
+func (p *Problem) prewarmBatch(ctx context.Context, points [][]float64, workers int) ([]*sim.Result, *BatchStats) {
 	stats := &BatchStats{Points: len(points)}
+	warm := make([]*sim.Result, len(points))
 	if p.Engine != nil {
 		// A custom engine is not sim.RunFast; batching would change results.
-		return p, stats
+		return warm, stats
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -117,14 +98,13 @@ func (p *Problem) PrewarmBatch(ctx context.Context, points [][]float64, workers 
 	if runner == nil {
 		runner = DefaultRunner
 	}
-	warmed := &prepassRunner{under: runner, results: make(map[string]*sim.Result)}
 
 	// Resolve points, dedup by cache key, and peel what the cache holds.
 	lookup, _ := runner.(cacheLookup)
 	insert, _ := runner.(cacheInsert)
-	seen := make(map[string]bool, len(points))
-	byCfg := make(map[string][]batchPoint)
-	for _, coded := range points {
+	unique := make(map[string]*batchPoint, len(points))
+	byCfg := make(map[string][]*batchPoint)
+	for i, coded := range points {
 		natural, err := doe.DecodeRun(p.Factors, coded)
 		if err != nil {
 			continue
@@ -138,13 +118,16 @@ func (p *Problem) PrewarmBatch(ctx context.Context, points [][]float64, workers 
 		if err != nil {
 			continue // uncacheable request: leave it to the direct path
 		}
-		if seen[key] {
+		if bp := unique[key]; bp != nil {
+			bp.runs = append(bp.runs, i)
+			warm[i] = warm[bp.runs[0]] // set when the first was peeled
 			continue
 		}
-		seen[key] = true
+		bp := &batchPoint{key: key, runs: []int{i}, d: sc.Design, cfg: cfg}
+		unique[key] = bp
 		if lookup != nil {
 			if res, ok := lookup.Lookup(ctx, key, EngineFast); ok {
-				warmed.results[key] = res
+				warm[i] = res
 				stats.Peeled++
 				continue
 			}
@@ -153,7 +136,7 @@ func (p *Problem) PrewarmBatch(ctx context.Context, points [][]float64, workers 
 		if err != nil {
 			continue
 		}
-		byCfg[cfgKey] = append(byCfg[cfgKey], batchPoint{key: key, d: sc.Design, cfg: cfg})
+		byCfg[cfgKey] = append(byCfg[cfgKey], bp)
 	}
 
 	// Deterministic chunking: sorted config groups, stable point order
@@ -166,9 +149,7 @@ func (p *Problem) PrewarmBatch(ctx context.Context, points [][]float64, workers 
 	}
 	sort.Strings(cfgKeys)
 	if total == 0 {
-		pp := *p
-		pp.Runner = warmed
-		return &pp, stats
+		return warm, stats
 	}
 	width := (total + workers - 1) / workers
 	if width < 1 {
@@ -178,7 +159,7 @@ func (p *Problem) PrewarmBatch(ctx context.Context, points [][]float64, workers 
 		width = maxBatchLanes
 	}
 	type chunk struct {
-		pts []batchPoint
+		pts []*batchPoint
 		cfg sim.Config
 	}
 	var chunks []chunk
@@ -251,18 +232,18 @@ func (p *Problem) PrewarmBatch(ctx context.Context, points [][]float64, workers 
 			stats.Lanes += len(c.pts)
 			stats.Rebuilds += o.bs.Rebuilds
 			stats.AmortizedRebuilds += o.bs.AmortizedRebuilds
+			mu.Unlock()
 			for i, res := range o.results {
 				if res == nil {
 					continue // lane error: the point retries sequentially
 				}
-				warmed.results[c.pts[i].key] = res
-			}
-			mu.Unlock()
-			if insert != nil {
-				for i, res := range o.results {
-					if res != nil {
-						insert.Insert(c.pts[i].key, EngineFast, res)
-					}
+				// Each run index belongs to exactly one lane, so chunks
+				// write disjoint slots of warm.
+				for _, run := range c.pts[i].runs {
+					warm[run] = res
+				}
+				if insert != nil {
+					insert.Insert(c.pts[i].key, EngineFast, res)
 				}
 			}
 		case <-deadline:
@@ -294,7 +275,5 @@ func (p *Problem) PrewarmBatch(ctx context.Context, points [][]float64, workers 
 	lg.Debug("batch prepass finished", "points", stats.Points, "peeled", stats.Peeled,
 		"lanes", stats.Lanes, "chunks", stats.Chunks,
 		"rebuilds", stats.Rebuilds, "amortized", stats.AmortizedRebuilds)
-	pp := *p
-	pp.Runner = warmed
-	return &pp, stats
+	return warm, stats
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestEngineBatchMatchesFastBitwise(t *testing.T) {
 
 	fast := quickProblem()
 	fast.Runner = simcache.New(simcache.Options{})
-	want, err := fast.RunDesignContext(context.Background(), d, 2)
+	want, err := fast.RunDesign(context.Background(), d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestEngineBatchMatchesFastBitwise(t *testing.T) {
 	}
 
 	bp := batchProblem()
-	got, err := bp.RunDesignContext(context.Background(), d, 2)
+	got, err := bp.RunDesign(context.Background(), d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestBatchAllLanesCachedShortCircuits(t *testing.T) {
 	}
 	p := batchProblem()
 
-	first, err := p.RunDesignContext(context.Background(), d, 2)
+	first, err := p.RunDesign(context.Background(), d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestBatchAllLanesCachedShortCircuits(t *testing.T) {
 	}
 	unique := first.Batch.Lanes + first.Batch.Peeled
 
-	second, err := p.RunDesignContext(context.Background(), d, 2)
+	second, err := p.RunDesign(context.Background(), d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +119,9 @@ func TestPrewarmBatchCustomEngineBypasses(t *testing.T) {
 	p := batchProblem()
 	p.Engine = sim.RunReference
 	pts := [][]float64{{0, 0, 0}, {1, -1, 0.5}}
-	runp, stats := p.PrewarmBatch(context.Background(), pts, 2)
-	if runp != p {
-		t.Fatal("custom engine must return the problem unchanged")
+	warm, stats := p.prewarmBatch(context.Background(), pts, 2)
+	if len(warm) != len(pts) || warm[0] != nil || warm[1] != nil {
+		t.Fatalf("custom engine must warm nothing, got %v", warm)
 	}
 	if stats.Points != len(pts) || stats.Lanes != 0 || stats.Chunks != 0 || stats.Peeled != 0 {
 		t.Fatalf("custom engine must skip the prepass, got %+v", stats)
@@ -135,7 +136,7 @@ func TestPrewarmBatchOpaqueRunner(t *testing.T) {
 	p := batchProblem()
 	p.Runner = passRunner{}
 
-	ds, err := p.RunDesignContext(context.Background(), d, 2)
+	ds, err := p.RunDesign(context.Background(), d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestPrewarmBatchOpaqueRunner(t *testing.T) {
 
 	fast := quickProblem()
 	fast.Runner = passRunner{}
-	want, err := fast.RunDesignContext(context.Background(), d, 2)
+	want, err := fast.RunDesign(context.Background(), d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,5 +160,65 @@ func TestPrewarmBatchOpaqueRunner(t *testing.T) {
 				t.Fatalf("response %q run %d: batch %v != fast %v", id, i, ds.Y[id][i], col[i])
 			}
 		}
+	}
+}
+
+// TestBatchWarmedPointStillFailsNumerically: a warmed result skips the
+// retry path but not the numeric-validity check — a NaN response peeled
+// from the cache still fails the design run with a typed *NumericError.
+func TestBatchWarmedPointStillFailsNumerically(t *testing.T) {
+	d, err := doe.TwoLevelFactorial(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := batchProblem()
+	natural, err := doe.DecodeRun(p.Factors, d.Runs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := p.Build(natural)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := simcache.Fingerprint(EngineFast, sc.Design, sim.Config{Horizon: p.Horizon, DtSlow: p.DtSlow, Source: sc.Source})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Runner.(*simcache.Cache).Insert(key, EngineFast, &sim.Result{AvgHarvestedPower: math.NaN()})
+
+	ds, err := p.RunDesign(context.Background(), d, 2)
+	var nerr *NumericError
+	if !errors.As(err, &nerr) {
+		t.Fatalf("warmed NaN result: err = %v, want a *NumericError", err)
+	}
+	if ds == nil || ds.Batch == nil || ds.Batch.Peeled < 1 {
+		t.Fatalf("the NaN point must come from the cache peel, got %+v", ds)
+	}
+}
+
+// TestPrewarmBatchSharesDuplicates: replicated design points (CCF centre
+// runs) are simulated once and share one warmed result.
+func TestPrewarmBatchSharesDuplicates(t *testing.T) {
+	d, err := doe.CentralComposite(3, doe.CCF, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, stats := batchProblem().prewarmBatch(context.Background(), d.Runs, 2)
+	var centre []int
+	for i, run := range d.Runs {
+		if run[0] == 0 && run[1] == 0 && run[2] == 0 {
+			centre = append(centre, i)
+		}
+	}
+	if len(centre) != 3 {
+		t.Fatalf("CCF with 3 centre runs has %d centre points", len(centre))
+	}
+	for _, i := range centre {
+		if warm[i] == nil || warm[i] != warm[centre[0]] {
+			t.Fatalf("centre run %d not sharing the first centre result", i)
+		}
+	}
+	if stats.Lanes != d.N()-len(centre)+1 {
+		t.Fatalf("Lanes = %d, want %d unique points", stats.Lanes, d.N()-len(centre)+1)
 	}
 }

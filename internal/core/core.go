@@ -8,7 +8,8 @@
 //     factor values to a complete sim.Design + excitation scenario, and the
 //     performance indicators (responses) of interest.
 //  2. Pick a DoE plan (internal/doe) and run the full-system simulator at
-//     its design points (RunDesign) — the "moderate number of simulations".
+//     its design points (Problem.RunDesign) — the "moderate number of
+//     simulations".
 //  3. Fit one response surface per indicator (BuildSurfaces).
 //  4. Explore trade-offs and optimize on the surfaces practically
 //     instantly; confirm the chosen design with a single simulation
@@ -187,14 +188,9 @@ func (p *Problem) runSim(ctx context.Context, d sim.Design, cfg sim.Config) (*si
 }
 
 // SimulateCoded runs one simulation at a coded design point and returns
-// the raw result.
-func (p *Problem) SimulateCoded(coded []float64) (*sim.Result, error) {
-	return p.SimulateCodedContext(context.Background(), coded)
-}
-
-// SimulateCodedContext is SimulateCoded with an explicit context: the
-// runner sees the caller's cancellation and trace.
-func (p *Problem) SimulateCodedContext(ctx context.Context, coded []float64) (*sim.Result, error) {
+// the raw result. ctx carries cancellation and the observability trace
+// through to the simulation runner.
+func (p *Problem) SimulateCoded(ctx context.Context, coded []float64) (*sim.Result, error) {
 	natural, err := doe.DecodeRun(p.Factors, coded)
 	if err != nil {
 		return nil, err
@@ -208,21 +204,20 @@ func (p *Problem) SimulateCodedContext(ctx context.Context, coded []float64) (*s
 }
 
 // ResponsesAt runs one simulation at a coded point and extracts every
-// problem response.
-func (p *Problem) ResponsesAt(coded []float64) (map[ResponseID]float64, error) {
-	return p.ResponsesAtContext(context.Background(), coded)
-}
-
-// ResponsesAtContext is ResponsesAt with an explicit context, threading
-// cancellation and the observability trace through to the simulation
-// runner. Extracted responses are checked for numeric validity: a NaN or
-// ±Inf value (a stiff solver corner, an injected fault) is rejected with
-// a typed *NumericError before it can poison an RSM fit.
-func (p *Problem) ResponsesAtContext(ctx context.Context, coded []float64) (map[ResponseID]float64, error) {
-	r, err := p.SimulateCodedContext(ctx, coded)
+// problem response (see responses).
+func (p *Problem) ResponsesAt(ctx context.Context, coded []float64) (map[ResponseID]float64, error) {
+	r, err := p.SimulateCoded(ctx, coded)
 	if err != nil {
 		return nil, err
 	}
+	return p.responses(r)
+}
+
+// responses extracts every problem response from a simulation result.
+// Extracted values are checked for numeric validity: a NaN or ±Inf value
+// (a stiff solver corner, an injected fault) is rejected with a typed
+// *NumericError before it can poison an RSM fit.
+func (p *Problem) responses(r *sim.Result) (map[ResponseID]float64, error) {
 	out := make(map[ResponseID]float64, len(p.Responses))
 	for _, id := range p.Responses {
 		v, err := Extract(id, r, p.Horizon)
@@ -263,44 +258,6 @@ func (ds *Dataset) Speedup() float64 {
 		return 0
 	}
 	return float64(ds.SimWork) / float64(ds.SimTime)
-}
-
-// RunDesign simulates every run of the design — the expensive, up-front
-// phase of the flow.
-func (p *Problem) RunDesign(d *doe.Design) (*Dataset, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if d.N() == 0 {
-		return nil, fmt.Errorf("core: empty design")
-	}
-	if d.K() != len(p.Factors) {
-		return nil, fmt.Errorf("core: design has %d factors, problem has %d", d.K(), len(p.Factors))
-	}
-	ds := &Dataset{Design: d, Y: make(map[ResponseID][]float64, len(p.Responses))}
-	for _, id := range p.Responses {
-		ds.Y[id] = make([]float64, 0, d.N())
-	}
-	start := time.Now()
-	for i, run := range d.Runs {
-		runStart := time.Now()
-		resp, st, err := p.runWithRetry(context.Background(), i, run)
-		ds.SimWork += time.Since(runStart)
-		ds.Retries += st.retries
-		ds.PanicsRecovered += st.panics
-		if err != nil {
-			ds.SimTime = time.Since(start)
-			ds.Y = nil
-			// ds still carries the timing and fault-recovery stats of the
-			// aborted design run, so callers can surface them.
-			return ds, wrapRunErr(i, st, err)
-		}
-		for _, id := range p.Responses {
-			ds.Y[id] = append(ds.Y[id], resp[id])
-		}
-	}
-	ds.SimTime = time.Since(start)
-	return ds, nil
 }
 
 // Surfaces is the set of fitted response surfaces — the captured design
@@ -393,7 +350,7 @@ func (s *Surfaces) Optimize(id ResponseID, maximize bool, starts int, seed int64
 		}
 	}
 	pred := fit.Predict(best.X)
-	resp, err := s.Problem.ResponsesAt(best.X)
+	resp, err := s.Problem.ResponsesAt(context.Background(), best.X)
 	if err != nil {
 		return nil, err
 	}
@@ -448,24 +405,16 @@ func (s *Surfaces) Validate(n int, seed int64) (*ValidationReport, error) {
 		}
 		points[i] = x
 	}
-	simVals := make(map[ResponseID][]float64, len(s.Problem.Responses))
-	startSim := time.Now()
-	for _, x := range points {
-		resp, err := s.Problem.ResponsesAt(x)
-		if err != nil {
-			return nil, err
-		}
-		for _, id := range s.Problem.Responses {
-			simVals[id] = append(simVals[id], resp[id])
-		}
+	ds, err := s.Problem.RunDesign(context.Background(), &doe.Design{Name: "validate", Runs: points}, 1)
+	if err != nil {
+		return nil, err
 	}
-	simTime := time.Since(startSim)
 
-	rep := &ValidationReport{N: n, SimTime: simTime}
+	rep := &ValidationReport{N: n, SimTime: ds.SimTime}
 	startRSM := time.Now()
 	for _, id := range s.Problem.Responses {
 		fit := s.Fits[id]
-		sims := simVals[id]
+		sims := ds.Y[id]
 		mn, mx := sims[0], sims[0]
 		var sumAbs, maxAbs float64
 		for i, x := range points {

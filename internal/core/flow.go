@@ -13,22 +13,18 @@ import (
 	"repro/internal/doe"
 	"repro/internal/obs"
 	"repro/internal/opt"
+	"repro/internal/sim"
 )
 
-// RunDesignParallel simulates the design's runs across a worker pool —
-// DoE runs are embarrassingly parallel, so the "moderate number of
-// simulations" amortizes across cores. workers ≤ 0 uses GOMAXPROCS.
-func (p *Problem) RunDesignParallel(d *doe.Design, workers int) (*Dataset, error) {
-	return p.RunDesignContext(context.Background(), d, workers)
-}
-
-// RunDesignContext is RunDesignParallel with cancellation: when ctx is
-// cancelled — or as soon as any run fails — the remaining simulations are
-// abandoned instead of running to completion. This is what a long-lived
-// server's job runner needs: early abort on error and cancel-on-shutdown.
-// Workers never start a run after the abort signal; runs already in flight
+// RunDesign simulates every run of the design — the expensive, up-front
+// phase of the flow, and the one way a set of coded points is simulated
+// locally. DoE runs are embarrassingly parallel, so the runs spread over a
+// pool of workers goroutines (≤ 0 uses GOMAXPROCS; 1 runs them serially in
+// design order). When ctx is cancelled — or as soon as any run fails — the
+// remaining simulations are abandoned instead of running to completion:
+// workers never start a run after the abort signal; runs already in flight
 // finish (the simulator itself is not preemptible) and are discarded.
-func (p *Problem) RunDesignContext(ctx context.Context, d *doe.Design, workers int) (*Dataset, error) {
+func (p *Problem) RunDesign(ctx context.Context, d *doe.Design, workers int) (*Dataset, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -52,14 +48,16 @@ func (p *Problem) RunDesignContext(ctx context.Context, d *doe.Design, workers i
 	start := time.Now()
 	// Batch scheduler: under EngineBatch, a lockstep prepass simulates the
 	// design's unique uncached points K lanes at a time (bit-identical to
-	// the fast engine — see sim.RunBatch) and the per-point loop below then
-	// drains from the warmed results. Points the prepass could not settle
-	// fall through to the runner with unchanged retry/timeout/cancellation
+	// the fast engine — see sim.RunBatch) and the pool below reads each
+	// run's warmed result by index. Runs the prepass could not settle go
+	// through the runner with unchanged retry/timeout/cancellation
 	// semantics, so the batch engine only changes where the work happens.
-	runp := p
-	var batch *BatchStats
+	var (
+		warm  []*sim.Result
+		batch *BatchStats
+	)
 	if p.engineName() == EngineBatch {
-		runp, batch = p.PrewarmBatch(ctx, d.Runs, workers)
+		warm, batch = p.prewarmBatch(ctx, d.Runs, workers)
 	}
 	// next hands out run indices; abort stops the handout early. Results
 	// land in a pre-sized slice (one slot per run, no index collisions),
@@ -112,7 +110,16 @@ func (p *Problem) RunDesignContext(ctx context.Context, d *doe.Design, workers i
 					return
 				}
 				runStart := time.Now()
-				resp, st, err := runp.runWithRetry(ctx, i, d.Runs[i])
+				var (
+					resp map[ResponseID]float64
+					st   = runFaultStats{attempts: 1}
+					err  error
+				)
+				if warm != nil && warm[i] != nil {
+					resp, err = p.responses(warm[i])
+				} else {
+					resp, st, err = p.runWithRetry(ctx, i, d.Runs[i])
+				}
 				runDur := time.Since(runStart)
 				work.Add(int64(runDur))
 				retries.Add(int64(st.retries))
@@ -267,7 +274,7 @@ func (s *Surfaces) OptimizeDesirability(goals []DesirabilityGoal, starts int, se
 		Simulated: make(map[ResponseID]float64, len(goals)),
 		Evals:     totalEvals,
 	}
-	sim, err := s.Problem.ResponsesAt(best.X)
+	simResp, err := s.Problem.ResponsesAt(context.Background(), best.X)
 	if err != nil {
 		return nil, err
 	}
@@ -275,8 +282,8 @@ func (s *Surfaces) OptimizeDesirability(goals []DesirabilityGoal, starts int, se
 	simEvals := make([]opt.Objective, len(goals))
 	for i, g := range goals {
 		res.Predicted[g.Response] = s.Fits[g.Response].Predict(best.X)
-		res.Simulated[g.Response] = sim[g.Response]
-		v := sim[g.Response]
+		res.Simulated[g.Response] = simResp[g.Response]
+		v := simResp[g.Response]
 		simEvals[i] = func(x []float64) float64 { return v }
 	}
 	simComp, err := opt.NewComposite(simEvals, shapes, weights)

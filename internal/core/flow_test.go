@@ -13,17 +13,19 @@ import (
 	"repro/internal/sim"
 )
 
+// TestRunDesignParallelMatchesSerial: one worker and four workers of
+// RunDesign assemble identical datasets.
 func TestRunDesignParallelMatchesSerial(t *testing.T) {
 	p := quickProblem()
 	design, err := doe.CentralComposite(3, doe.CCF, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := p.RunDesign(design)
+	serial, err := p.RunDesign(context.Background(), design, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := p.RunDesignParallel(design, 4)
+	parallel, err := p.RunDesign(context.Background(), design, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,22 +42,26 @@ func TestRunDesignParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestRunDesignParallelValidation: RunDesign rejects empty and
+// mismatched designs, and workers ≤ 0 picks a default pool.
 func TestRunDesignParallelValidation(t *testing.T) {
 	p := quickProblem()
-	if _, err := p.RunDesignParallel(&doe.Design{}, 2); err == nil {
+	if _, err := p.RunDesign(context.Background(), &doe.Design{}, 2); err == nil {
 		t.Fatal("empty design must be rejected")
 	}
 	d4, _ := doe.TwoLevelFactorial(4)
-	if _, err := p.RunDesignParallel(d4, 2); err == nil {
+	if _, err := p.RunDesign(context.Background(), d4, 2); err == nil {
 		t.Fatal("factor mismatch must be rejected")
 	}
 	// Default worker count works.
 	small, _ := doe.TwoLevelFactorial(3)
-	if _, err := p.RunDesignParallel(small, 0); err != nil {
+	if _, err := p.RunDesign(context.Background(), small, 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestRunDesignParallelPropagatesErrors: a failing run on a pooled
+// RunDesign surfaces as the design run's error.
 func TestRunDesignParallelPropagatesErrors(t *testing.T) {
 	p := quickProblem()
 	fail := *p
@@ -66,17 +72,19 @@ func TestRunDesignParallelPropagatesErrors(t *testing.T) {
 		return p.Build(nat)
 	}
 	design, _ := doe.TwoLevelFactorial(3)
-	if _, err := fail.RunDesignParallel(design, 3); err == nil {
+	if _, err := fail.RunDesign(context.Background(), design, 3); err == nil {
 		t.Fatal("worker error must propagate")
 	}
 }
 
+// TestRunDesignContextPreCancelled: RunDesign on a cancelled context
+// starts nothing.
 func TestRunDesignContextPreCancelled(t *testing.T) {
 	p := quickProblem()
 	design, _ := doe.TwoLevelFactorial(3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.RunDesignContext(ctx, design, 2); err == nil {
+	if _, err := p.RunDesign(ctx, design, 2); err == nil {
 		t.Fatal("cancelled context must abort the run")
 	}
 }
@@ -96,7 +104,7 @@ func TestRunDesignContextAbortsEarlyOnError(t *testing.T) {
 		return build(nat)
 	}
 	design, _ := doe.TwoLevelFactorial(3) // 8 runs
-	_, err := fail.RunDesignContext(context.Background(), design, 1)
+	_, err := fail.RunDesign(context.Background(), design, 1)
 	if err == nil {
 		t.Fatal("worker error must propagate")
 	}
@@ -120,7 +128,7 @@ func TestRunDesignContextCancelMidRun(t *testing.T) {
 		return build(nat)
 	}
 	design, _ := doe.TwoLevelFactorial(3)
-	_, err := blocked.RunDesignContext(ctx, design, 1)
+	_, err := blocked.RunDesign(ctx, design, 1)
 	if err == nil {
 		t.Fatal("mid-run cancellation must abort the design")
 	}
@@ -130,7 +138,7 @@ func TestRunDesignContextCancelMidRun(t *testing.T) {
 	if got := sims.Load(); got > 2 {
 		t.Fatalf("started %d simulations after cancellation, want ≤ 2", got)
 	}
-	if ds, err := p.RunDesignContext(context.Background(), design, 2); err != nil {
+	if ds, err := p.RunDesign(context.Background(), design, 2); err != nil {
 		t.Fatal(err)
 	} else if ds.SimWork <= 0 || ds.Speedup() <= 0 {
 		t.Fatalf("work accounting missing: work %v speedup %v", ds.SimWork, ds.Speedup())
@@ -195,7 +203,7 @@ func TestSubregionRefinementImprovesSpikyResponse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, err := p.RunDesignParallel(design, 0)
+		ds, err := p.RunDesign(context.Background(), design, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +226,7 @@ func TestSubregionRefinementImprovesSpikyResponse(t *testing.T) {
 			for j, f := range p.Factors {
 				coded[j] = f.Encode(natural[j])
 			}
-			resp, err := p.ResponsesAt(coded)
+			resp, err := p.ResponsesAt(context.Background(), coded)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +248,7 @@ func TestOptimizeDesirability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := p.RunDesignParallel(design, 0)
+	ds, err := p.RunDesign(context.Background(), design, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +292,7 @@ func TestProblemWithReferenceEngine(t *testing.T) {
 	p := quickProblem()
 	p.Horizon = 2
 	p.Engine = sim.RunReference
-	resp, err := p.ResponsesAt([]float64{0, 0, 0})
+	resp, err := p.ResponsesAt(context.Background(), []float64{0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -40,7 +41,7 @@ func TabT5Optimizers(cfg Config) (*report.Table, error) {
 	k := len(p.Factors)
 
 	confirm := func(x []float64) (float64, error) {
-		resp, err := p.ResponsesAt(x)
+		resp, err := p.ResponsesAt(context.Background(), x)
 		if err != nil {
 			return 0, err
 		}
@@ -57,7 +58,7 @@ func TabT5Optimizers(cfg Config) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds, err := p.RunDesign(design)
+	ds, err := p.RunDesign(context.Background(), design, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +181,7 @@ func TabT6Scenarios(cfg Config) (*report.Table, error) {
 
 		// Default configuration = centre of the coded cube.
 		centre := make([]float64, len(prob.Factors))
-		defResp, err := prob.ResponsesAt(centre)
+		defResp, err := prob.ResponsesAt(context.Background(), centre)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: T6 %s default: %w", spec.name, err)
 		}
@@ -192,7 +193,7 @@ func TabT6Scenarios(cfg Config) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ds, err := prob.RunDesign(design)
+		ds, err := prob.RunDesign(context.Background(), design, 1)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: T6 %s design: %w", spec.name, err)
 		}
@@ -216,7 +217,7 @@ func TabT6Scenarios(cfg Config) (*report.Table, error) {
 				best = r
 			}
 		}
-		optResp, err := prob.ResponsesAt(best.X)
+		optResp, err := prob.ResponsesAt(context.Background(), best.X)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -94,19 +95,16 @@ func TabT2DesignComparison(cfg Config) (*report.Table, error) {
 	}
 
 	val := validationPoints(k, cfg.pick(6, 12), cfg.Seed+3)
-	simVals := make([]float64, len(val))
-	for i, x := range val {
-		resp, err := p.ResponsesAt(x)
-		if err != nil {
-			return nil, err
-		}
-		simVals[i] = resp[core.RespStoredEnergy]
+	held, err := p.RunDesign(context.Background(), &doe.Design{Name: "holdout", Runs: val}, 1)
+	if err != nil {
+		return nil, err
 	}
+	simVals := held.Y[core.RespStoredEnergy]
 
 	t := report.NewTable("R-T2: experiment designs compared (response: stored energy)",
 		"design", "runs", "R2", "adjR2", "val_RMSE_J", "sim_time_ms")
 	for _, e := range entries {
-		ds, err := p.RunDesign(e.design)
+		ds, err := p.RunDesign(context.Background(), e.design, 1)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: T2 running %s: %w", e.name, err)
 		}
@@ -134,7 +132,7 @@ func buildStandardSurfaces(cfg Config) (*core.Problem, *core.Surfaces, *core.Dat
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ds, err := p.RunDesign(design)
+	ds, err := p.RunDesign(context.Background(), design, 1)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -180,7 +178,7 @@ func TabT4ExplorationSpeed(cfg Config) (*report.Table, error) {
 	simPts := validationPoints(k, nSim, cfg.Seed+7)
 	startSim := time.Now()
 	for _, x := range simPts {
-		if _, err := p.SimulateCoded(x); err != nil {
+		if _, err := p.SimulateCoded(context.Background(), x); err != nil {
 			return nil, err
 		}
 	}
@@ -243,7 +241,7 @@ func FigF2Surface(cfg Config) (*report.Figure, error) {
 		sy := make([]float64, 0, nSim)
 		for i := 0; i < nSim; i++ {
 			cx := -1 + 2*float64(i)/float64(nSim-1)
-			resp, err := p.ResponsesAt([]float64{cx, slice, 0, 0})
+			resp, err := p.ResponsesAt(context.Background(), []float64{cx, slice, 0, 0})
 			if err != nil {
 				return nil, err
 			}
@@ -371,21 +369,18 @@ func FigF5BuildCost(cfg Config) (*report.Figure, error) {
 		sizes = []int{16, 24}
 	}
 	val := validationPoints(k, cfg.pick(5, 10), cfg.Seed+11)
-	simVals := make([]float64, len(val))
-	for i, x := range val {
-		resp, err := p.ResponsesAt(x)
-		if err != nil {
-			return nil, err
-		}
-		simVals[i] = resp[core.RespStoredEnergy]
+	held, err := p.RunDesign(context.Background(), &doe.Design{Name: "holdout", Runs: val}, 1)
+	if err != nil {
+		return nil, err
 	}
+	simVals := held.Y[core.RespStoredEnergy]
 	var ns, rmses, costs []float64
 	for _, n := range sizes {
 		d, err := doe.LatinHypercube(k, n, cfg.Seed+12, 300)
 		if err != nil {
 			return nil, err
 		}
-		ds, err := p.RunDesign(d)
+		ds, err := p.RunDesign(context.Background(), d, 1)
 		if err != nil {
 			return nil, err
 		}

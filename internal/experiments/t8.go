@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/core"
@@ -37,18 +38,19 @@ func TabT8Refinement(cfg Config) (*report.Table, error) {
 		}
 		valNatural[i] = nat
 	}
-	simVals := make([]float64, nVal)
+	holdout := &doe.Design{Name: "holdout", Runs: make([][]float64, nVal)}
 	for i, nat := range valNatural {
 		coded := make([]float64, k)
 		for j, f := range full.Factors {
 			coded[j] = f.Encode(nat[j])
 		}
-		resp, err := full.ResponsesAt(coded)
-		if err != nil {
-			return nil, err
-		}
-		simVals[i] = resp[core.RespHarvestedPower]
+		holdout.Runs[i] = coded
 	}
+	held, err := full.RunDesign(context.Background(), holdout, 1)
+	if err != nil {
+		return nil, err
+	}
+	simVals := held.Y[core.RespHarvestedPower]
 
 	t := report.NewTable("R-T8: sequential region refinement of the harvested-power surface",
 		"region_scale", "runs", "R2", "val_RMSE_uW", "lack_of_fit")
@@ -64,7 +66,7 @@ func TabT8Refinement(cfg Config) (*report.Table, error) {
 				return nil, err
 			}
 		}
-		ds, err := prob.RunDesignParallel(design, 0)
+		ds, err := prob.RunDesign(context.Background(), design, 0)
 		if err != nil {
 			return nil, err
 		}

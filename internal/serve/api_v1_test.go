@@ -108,8 +108,8 @@ func TestJobsPagination(t *testing.T) {
 }
 
 // TestValidateExplicitSpec covers the explicit problem spec on
-// /v1/validate: excite and horizon_s select the simulation, the legacy
-// amp field still works, and omitting both keeps the model's own horizon.
+// /v1/validate: excite and horizon_s select the simulation, and omitting
+// both keeps the default excitation and the model's own horizon.
 func TestValidateExplicitSpec(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	srv.Registry().Set("m", fixture(t))
@@ -128,20 +128,10 @@ func TestValidateExplicitSpec(t *testing.T) {
 		t.Fatalf("explicit validate report: %s", body)
 	}
 
-	// Legacy amp spelling still accepted.
-	resp, body = postJSON(t, ts.URL+"/v1/validate", ValidateRequest{
-		Model: "m", N: 2, Seed: 7, Amp: 0.6,
-	})
+	// Omitted excite and horizon_s fall back to 0.6 and the model's horizon.
+	resp, body = postJSON(t, ts.URL+"/v1/validate", ValidateRequest{Model: "m", N: 2, Seed: 7})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy validate: %d %s", resp.StatusCode, body)
-	}
-
-	// excite wins when both are present — a bogus amp must not break it.
-	resp, body = postJSON(t, ts.URL+"/v1/validate", ValidateRequest{
-		Model: "m", N: 2, Seed: 7, Amp: 0.1, Excite: 0.6, Horizon: 1,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("excite-over-amp validate: %d %s", resp.StatusCode, body)
+		t.Fatalf("implicit validate: %d %s", resp.StatusCode, body)
 	}
 }
 

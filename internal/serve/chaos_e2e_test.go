@@ -292,3 +292,25 @@ func TestValidateNaNRejected(t *testing.T) {
 		t.Fatalf("error code %q, want %q (%s)", e.Code, codeNumericInvalid, body)
 	}
 }
+
+// TestValidateClientClosed: a validation whose client has already gone
+// away answers 499 client_closed, recognized through the cancellation
+// wrapped in the design run's error.
+func TestValidateClientClosed(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	srv.Registry().Set("m", fixture(t))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/validate",
+		strings.NewReader(`{"model": "m", "n": 2, "horizon_s": 1}`)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	srv.handleValidate(rec, req)
+	if rec.Code != statusClientClosedRequest {
+		t.Fatalf("cancelled validation: %d %s", rec.Code, rec.Body)
+	}
+	var e errorBody
+	unmarshal(t, rec.Body.Bytes(), &e)
+	if e.Code != codeClientClosed {
+		t.Fatalf("error code %q, want %q", e.Code, codeClientClosed)
+	}
+}

@@ -1,18 +1,18 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/doe"
 	"repro/internal/opt"
-	"repro/internal/sim"
 )
 
 func (s *Server) handleModelsList(w http.ResponseWriter, r *http.Request) {
@@ -292,22 +292,16 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, "n %d outside 1..1000", req.N)
 		return
 	}
-	// Explicit problem spec (excite/horizon_s); Excite wins over the
-	// legacy amp, omitted fields keep the implicit defaults.
+	// Explicit problem spec (excite/horizon_s); omitted fields keep the
+	// implicit defaults.
 	if req.Excite < 0 || req.Horizon < 0 {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest,
 			"excite %g and horizon_s %g must be non-negative", req.Excite, req.Horizon)
 		return
 	}
-	amp := req.Excite
-	if amp == 0 {
-		amp = req.Amp
-		if amp > 0 && !s.deprecateAmp(w, r, "validate") {
-			return
-		}
-	}
-	if amp <= 0 {
-		amp = 0.6
+	excite := req.Excite
+	if excite == 0 {
+		excite = 0.6
 	}
 	horizon := req.Horizon
 	if horizon == 0 {
@@ -318,14 +312,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadField, "%v", err)
 		return
 	}
-	p := s.problem(amp, horizon)
-	switch engine {
-	case EngineBatch:
-		p.EngineName = core.EngineBatch
-	case EngineReference:
-		p.Engine = sim.RunReference
-		p.EngineName = core.EngineReference
-	}
+	p := problemFor(s.problem, excite, horizon, engine)
 	if len(p.Factors) != len(ss.Factors) {
 		writeError(w, http.StatusConflict, codeConflict,
 			"model has %d factors but the server problem has %d — validate applies only to models of the served problem",
@@ -347,61 +334,47 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rng := rand.New(rand.NewSource(req.Seed))
-	points := make([][]float64, n)
-	for i := range points {
+	d := &doe.Design{Name: "validate", Runs: make([][]float64, n)}
+	for i := range d.Runs {
 		x := make([]float64, len(ss.Factors))
 		for j := range x {
 			x[j] = rng.Float64()*2 - 1
 		}
-		points[i] = x
+		d.Runs[i] = x
 	}
-	// The batch engine pre-simulates the fresh points in lockstep lanes;
-	// the per-point loop below then drains from the warmed results, with
-	// unchanged semantics for any point the prepass could not settle.
-	if engine == EngineBatch {
-		p, _ = p.PrewarmBatch(r.Context(), points, 0)
-	}
-	sums := make(map[core.ResponseID]float64, len(ids))
-	maxs := make(map[core.ResponseID]float64, len(ids))
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if err := r.Context().Err(); err != nil {
+	// One worker keeps a validation serial under its admission limit; the
+	// batch engine still steps the fresh points in lockstep lanes.
+	ds, err := p.RunDesign(r.Context(), d, 1)
+	if err != nil {
+		var nerr *core.NumericError
+		switch {
+		case errors.As(err, &nerr):
+			writeError(w, http.StatusInternalServerError, codeNumericInvalid, "validation failed: %v", err)
+		case errors.Is(err, context.Canceled):
 			writeError(w, statusClientClosedRequest, codeClientClosed, "validation aborted: %v", err)
-			return
+		default:
+			writeError(w, http.StatusInternalServerError, codeInternal, "validation failed: %v", err)
 		}
-		x := points[i]
-		sim, err := p.ResponsesAtContext(r.Context(), x)
-		if err != nil {
-			var nerr *core.NumericError
-			if errors.As(err, &nerr) {
-				writeError(w, http.StatusInternalServerError, codeNumericInvalid, "simulation %d failed: %v", i, err)
-				return
-			}
-			writeError(w, http.StatusInternalServerError, codeInternal, "simulation %d failed: %v", i, err)
-			return
-		}
-		for _, id := range ids {
+		return
+	}
+	resp := ValidateResponse{Model: req.Model, N: n, Engine: engine, SimMillis: float64(ds.SimTime.Microseconds()) / 1e3}
+	for _, id := range ids {
+		row := ValidateRow{Response: string(id), PRESS: ss.PRESS[id], R2Pred: ss.R2Pred[id]}
+		var sum float64
+		for i, x := range d.Runs {
 			pred, err := ss.Predict(id, x)
 			if err != nil {
 				writeError(w, http.StatusInternalServerError, codeInternal, "%v", err)
 				return
 			}
-			e := math.Abs(pred - sim[id])
-			sums[id] += e
-			if e > maxs[id] {
-				maxs[id] = e
+			e := math.Abs(pred - ds.Y[id][i])
+			sum += e
+			if e > row.MaxAbsErr {
+				row.MaxAbsErr = e
 			}
 		}
-	}
-	resp := ValidateResponse{Model: req.Model, N: n, Engine: engine, SimMillis: float64(time.Since(start).Microseconds()) / 1e3}
-	for _, id := range ids {
-		resp.Rows = append(resp.Rows, ValidateRow{
-			Response:   string(id),
-			MeanAbsErr: sums[id] / float64(n),
-			MaxAbsErr:  maxs[id],
-			PRESS:      ss.PRESS[id],
-			R2Pred:     ss.R2Pred[id],
-		})
+		row.MeanAbsErr = sum / float64(n)
+		resp.Rows = append(resp.Rows, row)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -412,9 +385,6 @@ const statusClientClosedRequest = 499
 func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	var req BuildRequest
 	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	if req.Amp > 0 && req.Excite == 0 && !s.deprecateAmp(w, r, "build") {
 		return
 	}
 	job, err := s.jobs.Submit(r.Context(), req)

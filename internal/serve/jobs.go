@@ -62,7 +62,7 @@ func (j *Job) view() JobView {
 		State:      string(j.State),
 		Runs:       j.Runs,
 		Horizon:    j.Req.Horizon,
-		Amp:        j.Req.Amp,
+		Excite:     j.Req.Excite,
 		Seed:       j.Req.Seed,
 		Workers:    j.Req.Workers,
 		Pool:       j.Req.Pool,
@@ -96,7 +96,23 @@ func (j *Job) view() JobView {
 
 // ProblemFactory instantiates the design problem a build simulates;
 // cmd/ehdoed uses core.StandardProblem, tests substitute faster problems.
-type ProblemFactory func(amp, horizon float64) *core.Problem
+type ProblemFactory func(excite, horizon float64) *core.Problem
+
+// problemFor instantiates the problem for one build or validation and
+// applies its (already normalized) engine selection: the batch engine is a
+// scheduling strategy on top of the fast engine (bit-identical lanes), the
+// reference engine swaps the simulator itself.
+func problemFor(f ProblemFactory, excite, horizon float64, engine string) *core.Problem {
+	p := f(excite, horizon)
+	switch engine {
+	case EngineBatch:
+		p.EngineName = core.EngineBatch
+	case EngineReference:
+		p.Engine = sim.RunReference
+		p.EngineName = core.EngineReference
+	}
+	return p
+}
 
 // JobManagerConfig configures a JobManager.
 type JobManagerConfig struct {
@@ -137,7 +153,7 @@ type JobManagerConfig struct {
 }
 
 // JobManager owns a bounded queue of build jobs and a single build worker:
-// DoE builds saturate the cores on their own via RunDesignContext, so
+// DoE builds saturate the cores on their own via core.Problem.RunDesign, so
 // running them one at a time maximizes per-build throughput and keeps the
 // queue semantics obvious. Finished surfaces are registered (atomically
 // swapped) into the registry under the requested model name.
@@ -243,14 +259,10 @@ func (m *JobManager) Submit(ctx context.Context, req BuildRequest) (JobView, err
 	if req.Horizon == 0 {
 		req.Horizon = 60
 	}
-	// Excite is the explicit spelling of the excitation amplitude; it wins
-	// over the legacy Amp, and the resolved value lands in Amp so job
-	// snapshots always report what was simulated.
-	if req.Excite > 0 {
-		req.Amp = req.Excite
-	}
-	if req.Amp <= 0 {
-		req.Amp = 0.6
+	// The resolved excitation lands in the request, so job snapshots
+	// always report what was simulated.
+	if req.Excite == 0 {
+		req.Excite = 0.6
 	}
 	// Engine resolves to its explicit spelling up front, so job snapshots
 	// always report the engine that actually runs the build.
@@ -280,7 +292,7 @@ func (m *JobManager) Submit(ctx context.Context, req BuildRequest) (JobView, err
 	}
 	// Fail fast on an unknown design (or a problem too small for the
 	// adaptive loop) instead of at run time.
-	k := len(m.problem(req.Amp, req.Horizon).Factors)
+	k := len(m.problem(req.Excite, req.Horizon).Factors)
 	if req.Strategy == StrategyAdaptive {
 		if k < 2 {
 			return JobView{}, fmt.Errorf("serve: adaptive builds need ≥2 factors, the served problem has %d", k)
@@ -475,18 +487,8 @@ func (m *JobManager) run(j *Job) {
 		defer cancel()
 	}
 
-	p := m.problem(j.Req.Amp, j.Req.Horizon)
-	// Engine selection: the batch engine is a scheduling strategy on top of
-	// the fast engine (bit-identical lanes), the reference engine swaps the
-	// simulator itself. Submit already resolved the default and rejected
-	// unknown values.
-	switch j.Req.Engine {
-	case EngineBatch:
-		p.EngineName = core.EngineBatch
-	case EngineReference:
-		p.Engine = sim.RunReference
-		p.EngineName = core.EngineReference
-	}
+	// Submit already resolved the engine default and rejected unknown values.
+	p := problemFor(m.problem, j.Req.Excite, j.Req.Horizon, j.Req.Engine)
 	if j.Req.Strategy == StrategyAdaptive {
 		m.runAdaptive(ctx, j, p)
 		return
@@ -515,12 +517,12 @@ func (m *JobManager) run(j *Job) {
 		ds, err = m.cluster.RunDesign(ctx, cluster.JobSpec{
 			ID:        j.ID,
 			Trace:     j.Trace,
-			Excite:    j.Req.Amp,
+			Excite:    j.Req.Excite,
 			Horizon:   j.Req.Horizon,
 			Responses: p.Responses,
 		}, design)
 	} else {
-		ds, err = p.RunDesignContext(ctx, design, j.Req.Workers)
+		ds, err = p.RunDesign(ctx, design, j.Req.Workers)
 	}
 	if ds != nil {
 		// Even a failed build carries its fault-recovery and batch stats.
@@ -592,7 +594,7 @@ func (m *JobManager) runAdaptive(ctx context.Context, j *Job, p *core.Problem) {
 			return m.cluster.RunDesign(ctx, cluster.JobSpec{
 				ID:        j.ID + "-" + d.Name,
 				Trace:     j.Trace,
-				Excite:    j.Req.Amp,
+				Excite:    j.Req.Excite,
 				Horizon:   j.Req.Horizon,
 				Responses: p.Responses,
 			}, d)

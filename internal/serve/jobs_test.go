@@ -176,7 +176,7 @@ func TestSubmitDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Design != "ccf" || j.Amp != 0.6 {
+	if j.Design != "ccf" || j.Excite != 0.6 {
 		t.Fatalf("defaults not applied: %+v", j)
 	}
 	final := waitState(t, m, j.ID, JobDone)

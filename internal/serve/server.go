@@ -48,10 +48,6 @@ type Config struct {
 	// JobTimeout bounds each build job: the default when a request sets no
 	// timeout_s, and the cap when it does. <=0 means unbounded.
 	JobTimeout time.Duration
-	// StrictAPI rejects deprecated request fields (the legacy "amp" alias)
-	// with code bad_field instead of honouring them — the final stage of a
-	// field migration before the alias is removed.
-	StrictAPI bool
 	// Cluster tunes the worker-fleet coordinator (heartbeat and lease
 	// timeouts, lease sizing, retry budgets). The zero value uses the
 	// cluster package defaults; the coordinator is always mounted.
@@ -65,24 +61,22 @@ type Config struct {
 // http.Handler. All metrics live in one obs.Registry; /metrics renders it
 // and nothing else.
 type Server struct {
-	registry  *Registry
-	jobs      *JobManager
-	coord     *cluster.Coordinator
-	problem   ProblemFactory
-	cache     *simcache.Cache
-	maxBody   int64
-	mux       *http.ServeMux
-	started   time.Time
-	log       *slog.Logger
-	draining  atomic.Bool
-	strictAPI bool
+	registry *Registry
+	jobs     *JobManager
+	coord    *cluster.Coordinator
+	problem  ProblemFactory
+	cache    *simcache.Cache
+	maxBody  int64
+	mux      *http.ServeMux
+	started  time.Time
+	log      *slog.Logger
+	draining atomic.Bool
 
-	reg        *obs.Registry
-	reqs       *obs.CounterVec
-	errs       *obs.CounterVec
-	latency    *obs.HistogramVec
-	deprecated *obs.CounterVec
-	faults     *obs.FaultStats
+	reg     *obs.Registry
+	reqs    *obs.CounterVec
+	errs    *obs.CounterVec
+	latency *obs.HistogramVec
+	faults  *obs.FaultStats
 
 	// Overload protection: per-endpoint admission limiters plus the
 	// model-versioned response memo, with their instruments.
@@ -108,8 +102,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Route every problem the factory makes through the server's cache,
 	// unless the factory wired its own runner.
-	cached := func(amp, horizon float64) *core.Problem {
-		p := problem(amp, horizon)
+	cached := func(excite, horizon float64) *core.Problem {
+		p := problem(excite, horizon)
 		if p.Runner == nil {
 			p.Runner = cache
 		}
@@ -124,17 +118,16 @@ func New(cfg Config) (*Server, error) {
 		logger = obs.Nop()
 	}
 	s := &Server{
-		registry:  NewRegistry(),
-		problem:   cached,
-		cache:     cache,
-		maxBody:   maxBody,
-		mux:       http.NewServeMux(),
-		started:   time.Now(),
-		log:       logger,
-		strictAPI: cfg.StrictAPI,
-		reg:       obs.NewRegistry(),
-		faults:    &obs.FaultStats{},
-		loadCfg:   cfg.Load.withDefaults(),
+		registry: NewRegistry(),
+		problem:  cached,
+		cache:    cache,
+		maxBody:  maxBody,
+		mux:      http.NewServeMux(),
+		started:  time.Now(),
+		log:      logger,
+		reg:      obs.NewRegistry(),
+		faults:   &obs.FaultStats{},
+		loadCfg:  cfg.Load.withDefaults(),
 	}
 	s.initAdmission(s.loadCfg)
 	s.reg.GaugeFunc("ehdoed_uptime_seconds", "Seconds since the server started.", func() float64 {
@@ -143,7 +136,6 @@ func New(cfg Config) (*Server, error) {
 	s.reqs = s.reg.CounterVec("ehdoed_requests_total", "Requests served, by endpoint.", "endpoint")
 	s.errs = s.reg.CounterVec("ehdoed_request_errors_total", "Requests answered with status >= 400, by endpoint.", "endpoint")
 	s.latency = s.reg.HistogramVec("ehdoed_request_latency_seconds", "Request latency, by endpoint.", "endpoint", latencyBuckets)
-	s.deprecated = s.reg.CounterVec("ehdoed_deprecated_field_total", "Requests using a deprecated request field, by field.", "field")
 	s.reg.CounterFunc("ehdoed_run_retries_total",
 		"Design-run attempts retried after transient simulation faults.",
 		func() float64 { return float64(s.faults.Retries.Value()) })
@@ -407,27 +399,4 @@ func (s *Server) taggedModel(w http.ResponseWriter, name string) (*core.SavedSur
 		return nil, "", false
 	}
 	return ss, etag, true
-}
-
-// deprecateAmp handles a request that used the legacy "amp" field. The
-// migration has three stages, all observable before anything breaks:
-// Deprecation + Sunset headers and a structured warning tell clients and
-// operators, the ehdoed_deprecated_field_total{field="amp"} counter makes
-// remaining callers measurable, and strict mode (-strict-api) rejects the
-// alias with code bad_field. Returns false when the request was rejected;
-// the handler must stop.
-func (s *Server) deprecateAmp(w http.ResponseWriter, r *http.Request, endpoint string) bool {
-	s.deprecated.With("amp").Inc()
-	if s.strictAPI {
-		obs.FromContext(r.Context()).Warn("deprecated field rejected",
-			"field", "amp", "use", "excite", "endpoint", endpoint)
-		writeError(w, http.StatusBadRequest, codeBadField,
-			`field "amp" is retired; use "excite"`)
-		return false
-	}
-	w.Header().Set("Deprecation", `@1767225600`) // deprecated since 2026-01-01 (RFC 9745)
-	w.Header().Set("Sunset", "Wed, 01 Jul 2026 00:00:00 GMT")
-	obs.FromContext(r.Context()).Warn("deprecated field used",
-		"field", "amp", "use", "excite", "endpoint", endpoint)
-	return true
 }

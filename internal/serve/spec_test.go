@@ -34,7 +34,7 @@ func TestSpecCoversEveryEndpoint(t *testing.T) {
 	}
 
 	// The build request schema is reflected, not hand-written: excite is a
-	// plain number, amp carries the deprecated marker.
+	// plain number, and the retired amp alias is gone.
 	build, ok := listed["POST /v1/build"]
 	if !ok || build.Request == nil {
 		t.Fatal("spec has no POST /v1/build request schema")
@@ -43,11 +43,11 @@ func TestSpecCoversEveryEndpoint(t *testing.T) {
 	for _, f := range build.Request.Fields {
 		fields[f.Name] = f
 	}
-	if f := fields["excite"]; f.Type != "number" || f.Deprecated {
+	if f := fields["excite"]; f.Type != "number" {
 		t.Fatalf("excite field spec wrong: %+v", f)
 	}
-	if f := fields["amp"]; !f.Deprecated {
-		t.Fatalf("amp field not marked deprecated: %+v", f)
+	if f, ok := fields["amp"]; ok {
+		t.Fatalf("retired amp field still in the spec: %+v", f)
 	}
 
 	// The error vocabulary includes the unknown-field code, and the
@@ -86,9 +86,10 @@ func TestUnknownFieldRejected(t *testing.T) {
 	}
 }
 
-// TestAmpAliasDeprecationHeader: requests resolved through the legacy amp
-// field get Deprecation + Sunset response headers and bump the labelled
-// deprecated-field counter; the stable excite spelling does neither.
+// TestAmpAliasDeprecationHeader: the amp alias is retired past its
+// sunset, so nothing deprecates it any more — a request spelling amp is
+// rejected without Deprecation or Sunset headers, the excite spelling
+// carries none either, and /metrics has no deprecated-field counter.
 func TestAmpAliasDeprecationHeader(t *testing.T) {
 	release := make(chan struct{})
 	quit := make(chan struct{})
@@ -96,15 +97,12 @@ func TestAmpAliasDeprecationHeader(t *testing.T) {
 	close(release)
 	_, ts := newTestServer(t, Config{Problem: blockingProblem(release, quit)})
 
-	resp, body := postJSON(t, ts.URL+"/v1/build", BuildRequest{Model: "a", Horizon: 1, Amp: 0.5})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("legacy build status %d: %s", resp.StatusCode, body)
+	resp, body := postJSON(t, ts.URL+"/v1/build", map[string]any{"model": "a", "horizon_s": 1, "amp": 0.5})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("amp build status %d: %s, want 400", resp.StatusCode, body)
 	}
-	if resp.Header.Get("Deprecation") == "" {
-		t.Fatal("legacy amp build carries no Deprecation header")
-	}
-	if resp.Header.Get("Sunset") == "" {
-		t.Fatal("legacy amp build carries no Sunset header")
+	if resp.Header.Get("Deprecation") != "" || resp.Header.Get("Sunset") != "" {
+		t.Fatal("retired amp build must not carry deprecation headers")
 	}
 
 	resp, body = postJSON(t, ts.URL+"/v1/build", BuildRequest{Model: "b", Horizon: 1, Excite: 0.5})
@@ -115,45 +113,41 @@ func TestAmpAliasDeprecationHeader(t *testing.T) {
 		t.Fatal("stable excite build must not carry deprecation headers")
 	}
 
-	// Exactly the one legacy request was counted, labelled by field.
 	_, body = get(t, ts.URL+"/metrics")
-	if want := `ehdoed_deprecated_field_total{field="amp"} 1`; !strings.Contains(string(body), want) {
-		t.Fatalf("/metrics misses %q", want)
+	if strings.Contains(string(body), "ehdoed_deprecated_field_total") {
+		t.Fatal("/metrics still exposes the retired deprecated-field counter")
 	}
 }
 
-// TestStrictAPIRejectsAmp: with -strict-api the legacy alias is no longer
-// resolved — build and validate answer 400 with the typed bad_field code,
-// while the stable spelling is untouched.
+// TestStrictAPIRejectsAmp: strict handling of the retired "amp" alias is
+// now the only behaviour — amp is an unknown field like any other, so
+// build and validate answer 400 with the typed bad_field code, while the
+// stable excite spelling is untouched.
 func TestStrictAPIRejectsAmp(t *testing.T) {
 	release := make(chan struct{})
 	quit := make(chan struct{})
 	defer close(quit)
 	close(release)
-	srv, ts := newTestServer(t, Config{Problem: blockingProblem(release, quit), StrictAPI: true})
+	srv, ts := newTestServer(t, Config{Problem: blockingProblem(release, quit)})
 	srv.Registry().Set("m", fixture(t))
 
-	resp, body := postJSON(t, ts.URL+"/v1/build", BuildRequest{Model: "a", Horizon: 1, Amp: 0.5})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("strict legacy build status %d: %s, want 400", resp.StatusCode, body)
-	}
-	var e errorBody
-	unmarshal(t, body, &e)
-	if e.Code != codeBadField || !strings.Contains(e.Error, "amp") {
-		t.Fatalf("strict legacy build error %+v, want code %q naming the field", e, codeBadField)
-	}
-
-	resp, body = postJSON(t, ts.URL+"/v1/validate", ValidateRequest{Model: "m", N: 2, Amp: 0.5})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("strict legacy validate status %d: %s, want 400", resp.StatusCode, body)
-	}
-	unmarshal(t, body, &e)
-	if e.Code != codeBadField {
-		t.Fatalf("strict legacy validate code %q, want %q", e.Code, codeBadField)
+	for path, req := range map[string]map[string]any{
+		"/v1/build":    {"model": "a", "horizon_s": 1, "amp": 0.5},
+		"/v1/validate": {"model": "m", "n": 2, "amp": 0.5},
+	} {
+		resp, body := postJSON(t, ts.URL+path, req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s with amp: status %d: %s, want 400", path, resp.StatusCode, body)
+		}
+		var e errorBody
+		unmarshal(t, body, &e)
+		if e.Code != codeBadField || !strings.Contains(e.Error, "amp") {
+			t.Fatalf("%s with amp: error %+v, want code %q naming the field", path, e, codeBadField)
+		}
 	}
 
-	resp, body = postJSON(t, ts.URL+"/v1/build", BuildRequest{Model: "b", Horizon: 1, Excite: 0.5})
+	resp, body := postJSON(t, ts.URL+"/v1/build", BuildRequest{Model: "b", Horizon: 1, Excite: 0.5})
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("strict excite build status %d: %s, want 202", resp.StatusCode, body)
+		t.Fatalf("excite build status %d: %s, want 202", resp.StatusCode, body)
 	}
 }

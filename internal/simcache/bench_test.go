@@ -2,6 +2,7 @@ package simcache_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ func buildSurfaces(b *testing.B, p *core.Problem) *core.Surfaces {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ds, err := p.RunDesignParallel(design, 0)
+	ds, err := p.RunDesign(context.Background(), design, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func BenchmarkSimCacheOptimizerBaseline(b *testing.B) {
 	bounds := opt.NewBounds(len(p.Factors))
 	var objErr error
 	objective := func(x []float64) float64 {
-		resp, err := p.ResponsesAt(x)
+		resp, err := p.ResponsesAt(context.Background(), x)
 		if err != nil {
 			objErr = err
 			return 0
