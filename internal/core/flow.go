@@ -59,6 +59,16 @@ func (p *Problem) RunDesign(ctx context.Context, d *doe.Design, workers int) (*D
 	if p.engineName() == EngineBatch {
 		warm, batch = p.prewarmBatch(ctx, d.Runs, workers)
 	}
+	// Points of the built-in fast engine that differ only in slow-side
+	// factors share one open-loop drive: a drive table simulates it in full
+	// once, recording it, and replays it for the rest, bit-identically (see
+	// sim.Drives). The pool below runs a copy of the problem whose engine is
+	// the table, under the same cache name; the table lives for this call.
+	if p.Engine == nil {
+		q := *p
+		q.Engine, q.EngineName = (&sim.Drives{}).RunFast, p.engineName()
+		p = &q
+	}
 	// next hands out run indices; abort stops the handout early. Results
 	// land in a pre-sized slice (one slot per run, no index collisions),
 	// so the only shared state needing a lock is the error and the

@@ -121,6 +121,7 @@ func TabT2DesignComparison(cfg Config) (*report.Table, error) {
 		t.AddRow(e.name, e.design.N(), fit.R2, fit.AdjR2, rmse, ms(ds.SimTime))
 	}
 	t.AddNote("validation: %d shared random points, simulated with the fast engine (horizon %.0f s)", len(val), p.Horizon)
+	t.AddNote("sim_time_ms is not proportional to runs: the rows share the simulation cache, so points an earlier row ran are hits (every 2^k+3c point is a CCF point), and points that differ only in slow-side factors share one drive, simulated once and replayed (sim.Drives) — the lattice designs simulate one drive per freq_off level, LHS one per run")
 	return t, nil
 }
 
@@ -201,7 +202,7 @@ func TabT4ExplorationSpeed(cfg Config) (*report.Table, error) {
 		"evaluator", "evals", "total_ms", "per_eval_us", "speedup_x")
 	t.AddRow("full simulation (fast engine)", nSim, ms(simTime), float64(perSim)/1e3, 1.0)
 	t.AddRow("fitted RSM", nRSM, ms(rsmTime), float64(perRSM)/1e3, float64(perSim)/float64(perRSM))
-	t.AddNote("RSM build cost: %d design runs, %.1f ms simulation + %.3f ms fitting — amortized after ~%d explored points",
+	t.AddNote("RSM build cost: %d design runs, %.1f ms simulation (one drive per freq_off level, the rest replayed) + %.3f ms fitting — amortized after ~%d explored points",
 		ds.Design.N(), ms(ds.SimTime), ms(s.FitTime), ds.Design.N())
 	return t, nil
 }

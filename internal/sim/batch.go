@@ -106,7 +106,7 @@ func RunBatchStats(designs []Design, cfg Config) ([]*Result, BatchStats, error) 
 			fail(i, err)
 			continue
 		}
-		slow, err := newSlowSide(d)
+		slow, err := newSlowSide(d, cfg.DtSlow)
 		if err != nil {
 			fail(i, err)
 			continue
@@ -138,7 +138,7 @@ func RunBatchStats(designs []Design, cfg Config) ([]*Result, BatchStats, error) 
 	stats.Lanes = len(active)
 	stats.Groups = len(groups)
 
-	nSteps := int(math.Ceil(cfg.Horizon / cfg.DtSlow))
+	nSteps := stepCount(cfg)
 	// SoA state: y0/y1/y2[j] are lane j's [x, v, i], kept in slices parallel
 	// to active so the fast-dynamics kernel streams over contiguous lanes.
 	y0 := make([]float64, len(active))
@@ -204,7 +204,7 @@ func RunBatchStats(designs []Design, cfg Config) ([]*Result, BatchStats, error) 
 				}
 			}
 			emf := ln.gamma * y1[j]
-			gap := ln.slow.step(cfg.DtSlow, emf, excf)
+			gap, _ := ln.slow.step(emf, excf)
 			if ln.tunerOn {
 				if gap != ln.lastGap {
 					ln.lastGap, ln.lastFres = gap, ln.model.g.h.ResonantFreq(gap)

@@ -52,3 +52,42 @@ func BenchmarkRunFastTuned(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunFastReplay measures the same second replayed from a recorded
+// drive (see Drives): the slow side alone, the cost of every design point
+// after the second that shares an open-loop drive.
+func BenchmarkRunFastReplay(b *testing.B) {
+	d := DefaultDesign()
+	cfg := Config{Horizon: 1, Source: benchSource(d)}
+	if err := prepare(d, &cfg); err != nil {
+		b.Fatal(err)
+	}
+	rs := newResetStream(stepCount(cfg))
+	if _, err := runFast(d, cfg, rs); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := replay(d, cfg, rs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunFastRecord measures the same second while recording its drive
+// into a fresh reset stream (see Drives): what the run that records a drive
+// pays on top of BenchmarkRunFast.
+func BenchmarkRunFastRecord(b *testing.B) {
+	d := DefaultDesign()
+	cfg := Config{Horizon: 1, Source: benchSource(d)}
+	if err := prepare(d, &cfg); err != nil {
+		b.Fatal(err)
+	}
+	nSteps := stepCount(cfg)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := runFast(d, cfg, newResetStream(nSteps)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

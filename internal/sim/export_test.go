@@ -1,0 +1,20 @@
+package sim
+
+// Published reports how many drives the table has published and the bytes
+// their reset streams retain.
+func (t *Drives) Published() (drives, bytes int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, rs := range t.m {
+		if rs != nil {
+			drives++
+			bytes += rs.bytes()
+		}
+	}
+	return drives, bytes
+}
+
+// bytes is the memory the stream retains.
+func (r *resetStream) bytes() int {
+	return 8*cap(r.set) + 8*cap(r.vals) + 8*resetChunk*len(r.vals)
+}

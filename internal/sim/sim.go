@@ -183,11 +183,10 @@ type slowSide struct {
 	env    float64 // EMF amplitude envelope (V)
 	envTau float64
 
-	// Both engines call step with a fixed dt, so the two exponential decay
-	// factors (envelope release, supercap leak) are constants of the run.
-	// They are memoized on the dt they were computed for — recomputing on a
-	// dt change keeps the values bit-identical to evaluating exp per step.
-	decayDt   float64
+	// Every engine steps the slow side at the fixed dt of its Config, so the
+	// two exponential decay factors (envelope release, supercap leak) are
+	// constants of the run, computed once from dt.
+	dt        float64
 	envDecay  float64
 	leakDecay float64
 
@@ -197,23 +196,22 @@ type slowSide struct {
 	leaked    float64
 }
 
-func newSlowSide(d Design) (*slowSide, error) {
+func newSlowSide(d Design, dt float64) (*slowSide, error) {
 	nd, err := node.NewWithLink(d.Node, d.Policy, d.Link)
 	if err != nil {
 		return nil, err
 	}
-	gap := d.InitialGap
-	if gap == 0 {
-		gap = d.Harv.GapMax
-	}
-	gap = d.Harv.ClampGap(gap)
+	gap := initialGap(d)
 	s := &slowSide{
 		d:      d,
 		nd:     nd,
 		gap:    gap,
 		vs:     d.InitialStoreV,
 		envTau: 0.05, // a few vibration cycles
+		dt:     dt,
 	}
+	s.envDecay = math.Exp(-dt / s.envTau)
+	s.leakDecay = d.Store.LeakFactor(dt)
 	if d.Tuner != nil {
 		ctrl, err := tuner.New(*d.Tuner, d.Harv, gap)
 		if err != nil {
@@ -224,21 +222,36 @@ func newSlowSide(d Design) (*slowSide, error) {
 	return s, nil
 }
 
-// step advances the slow side by dt given the coil EMF sample and the
-// current excitation frequency (the charge pump's operating frequency). It
-// returns the magnet gap for the next fast-dynamics step.
-func (s *slowSide) step(dt, emf, excFreq float64) float64 {
-	if dt != s.decayDt {
-		s.decayDt = dt
-		s.envDecay = math.Exp(-dt / s.envTau)
-		s.leakDecay = s.d.Store.LeakFactor(dt)
+// initialGap is the magnet gap a run starts from: InitialGap (0 means
+// GapMax, i.e. untuned) clamped to the actuator's range.
+func initialGap(d Design) float64 {
+	gap := d.InitialGap
+	if gap == 0 {
+		gap = d.Harv.GapMax
 	}
+	return d.Harv.ClampGap(gap)
+}
+
+// step advances the slow side by one dt given the coil EMF sample and the
+// current excitation frequency (the charge pump's operating frequency). It
+// returns the magnet gap for the next fast-dynamics step, and whether |emf|
+// beat the decayed envelope (a reset of the peak detector).
+func (s *slowSide) step(emf, excFreq float64) (gap float64, reset bool) {
 	// EMF envelope (peak detector with exponential release).
 	s.env *= s.envDecay
 	if a := math.Abs(emf); a > s.env {
 		s.env = a
+		reset = true
 	}
+	return s.stepEnv(emf, excFreq), reset
+}
 
+// stepEnv is step after the envelope update: everything downstream of the
+// envelope detector. A drive replay (see Drives) updates the envelope from
+// its recorded reset stream and then calls stepEnv, so every path through
+// the slow side shares this one body. emf only reaches the tuner.
+func (s *slowSide) stepEnv(emf, excFreq float64) float64 {
+	dt := s.dt
 	// Multiplier: EMF behind the coil resistance drives the pump input.
 	vin := s.env * s.d.Mult.InputR / (s.d.Harv.CoilR + s.d.Mult.InputR)
 	ichg := s.d.Mult.ChargeCurrent(vin, excFreq, s.vs)
@@ -612,14 +625,26 @@ func (m *fastModel) step(y *[3]float64, accel float64) {
 // RunFast simulates the design with the explicit linearized state-space
 // engine.
 func RunFast(d Design, cfg Config) (*Result, error) {
+	if err := prepare(d, &cfg); err != nil {
+		return nil, err
+	}
+	return runFast(d, cfg, nil)
+}
+
+// prepare validates the design and fills in the config defaults, the
+// prelude every engine shares.
+func prepare(d Design, cfg *Config) error {
 	if err := d.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := cfg.defaults(); err != nil {
-		return nil, err
-	}
+	return cfg.defaults()
+}
+
+// runFast is RunFast on a prepared (d, cfg). When drive is non-nil the run
+// also records the envelope detector's reset stream into it (see Drives).
+func runFast(d Design, cfg Config, drive *resetStream) (*Result, error) {
 	start := time.Now()
-	slow, err := newSlowSide(d)
+	slow, err := newSlowSide(d, cfg.DtSlow)
 	if err != nil {
 		return nil, err
 	}
@@ -632,7 +657,7 @@ func RunFast(d Design, cfg Config) (*Result, error) {
 	}
 
 	var y [3]float64 // x, v, i
-	nSteps := int(math.Ceil(cfg.Horizon / cfg.DtSlow))
+	nSteps := stepCount(cfg)
 	rec.init(nSteps)
 	// The gap only moves while the tuner's actuator does, so the drift
 	// check memoizes the resonance of the last gap it saw (and model.fres
@@ -649,7 +674,10 @@ func RunFast(d Design, cfg Config) (*Result, error) {
 		model.step(&y, accel)
 
 		emf := gamma * y[1]
-		gap := slow.step(cfg.DtSlow, emf, cfg.Source.DominantFreq(t))
+		gap, reset := slow.step(emf, cfg.Source.DominantFreq(t))
+		if reset && drive != nil {
+			drive.add(k, slow.env)
+		}
 		if tunerOn {
 			if gap != lastGap {
 				lastGap, lastFres = gap, d.Harv.ResonantFreq(gap)
@@ -670,17 +698,19 @@ func RunFast(d Design, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// stepCount is the number of slow steps a run of cfg takes.
+func stepCount(cfg Config) int {
+	return int(math.Ceil(cfg.Horizon / cfg.DtSlow))
+}
+
 // RunReference simulates the design with the implicit trapezoidal
 // Newton–Raphson engine, sub-stepping each slow interval at cfg.DtRef.
 func RunReference(d Design, cfg Config) (*Result, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.defaults(); err != nil {
+	if err := prepare(d, &cfg); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	slow, err := newSlowSide(d)
+	slow, err := newSlowSide(d, cfg.DtSlow)
 	if err != nil {
 		return nil, err
 	}
@@ -705,7 +735,7 @@ func RunReference(d Design, cfg Config) (*Result, error) {
 
 	y := []float64{0, 0, 0}
 	icfg := ode.ImplicitConfig{}
-	nSteps := int(math.Ceil(cfg.Horizon / cfg.DtSlow))
+	nSteps := stepCount(cfg)
 	rec.init(nSteps)
 	for k := 0; k < nSteps; k++ {
 		t := float64(k) * cfg.DtSlow
@@ -720,7 +750,7 @@ func RunReference(d Design, cfg Config) (*Result, error) {
 		res.FuncEvals += st.FuncEvals
 
 		emf := d.Harv.EMF(y[1])
-		gap = slow.step(cfg.DtSlow, emf, cfg.Source.DominantFreq(t))
+		gap, _ = slow.step(emf, cfg.Source.DominantFreq(t))
 		rec.record(t+cfg.DtSlow, slow.vs, y[0], emf, gap)
 	}
 	slow.finish(res, cfg.Horizon)

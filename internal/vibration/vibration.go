@@ -27,6 +27,12 @@ import (
 )
 
 // Source provides the base acceleration applied to the harvester frame.
+//
+// Accel and DominantFreq must be pure functions of t: repeated and
+// out-of-order calls return bit-identical values, with no state carried
+// between calls. The engines rely on it — sim.RunBatch samples the source
+// once per step for all of its lanes, and a sim.Drives replay reuses a
+// drive recorded against another run of the same source.
 type Source interface {
 	// Accel returns the instantaneous acceleration in m/s² at time t (s).
 	Accel(t float64) float64

@@ -236,3 +236,73 @@ func BenchmarkRandomWalkAccel(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestSourcesArePure pins the Source contract: Accel and DominantFreq are
+// pure functions of t, so repeated and out-of-order calls return
+// bit-identical values. Engines that sample once for many design points
+// (sim.RunBatch, a sim.Drives replay) rely on it.
+func TestSourcesArePure(t *testing.T) {
+	stepped, err := NewSteppedSine(0.5, []FreqStep{{At: 0, Freq: 45}, {At: 1.2, Freq: 47}, {At: 2.5, Freq: 44}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy, err := NewNoisySine(Sine{Amplitude: 0.5, Freq: 45}, 0.1, 4, 1e-3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk, err := NewRandomWalkSine(0.5, 45, 0.05, 40, 50, 4, 1e-3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]Source{
+		"Sine":           Sine{Amplitude: 0.5, Freq: 45, Phase: 0.2},
+		"SteppedSine":    stepped,
+		"DriftingSine":   DriftingSine{Amplitude: 0.5, StartFreq: 44, Rate: 0.5, MinFreq: 40, MaxFreq: 46},
+		"MultiTone":      MultiTone{Tones: []Sine{{Amplitude: 0.5, Freq: 45}, {Amplitude: 0.1, Freq: 90}}},
+		"NoisySine":      noisy,
+		"RandomWalkSine": walk,
+	}
+	const n = 4000
+	ts := make([]float64, n)
+	for i := range ts {
+		ts[i] = float64(i) * 1e-3 * 1.0005 // lands between lattice points too
+	}
+	for name, src := range sources {
+		accel := make([]uint64, n)
+		freq := make([]uint64, n)
+		for i, tt := range ts {
+			accel[i] = math.Float64bits(src.Accel(tt))
+			freq[i] = math.Float64bits(src.DominantFreq(tt))
+		}
+		// Backwards, then a stride permutation (7919 is prime to n), each
+		// point sampled twice in a row.
+		for pass, order := range [][]int{reversed(n), strided(n, 7919)} {
+			for _, i := range order {
+				for rep := 0; rep < 2; rep++ {
+					if got := math.Float64bits(src.Accel(ts[i])); got != accel[i] {
+						t.Fatalf("%s pass %d: Accel(%v) = %#x, first call %#x", name, pass, ts[i], got, accel[i])
+					}
+					if got := math.Float64bits(src.DominantFreq(ts[i])); got != freq[i] {
+						t.Fatalf("%s pass %d: DominantFreq(%v) = %#x, first call %#x", name, pass, ts[i], got, freq[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func reversed(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = n - 1 - i
+	}
+	return idx
+}
+
+func strided(n, stride int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i * stride % n
+	}
+	return idx
+}
