@@ -221,7 +221,7 @@ type Node struct {
 	cfg    Config
 	policy Policy
 	link   LinkConfig
-	rng    *rand.Rand
+	rng    *rand.Rand // channel randomness; nil on an ideal link
 
 	state     phase
 	phaseLeft float64 // time remaining in the current phase (s)
@@ -262,8 +262,11 @@ func NewWithLink(cfg Config, policy Policy, link LinkConfig) (*Node, error) {
 		cfg:    cfg,
 		policy: policy,
 		link:   link,
-		rng:    rand.New(rand.NewSource(link.Seed)),
 		state:  phaseOff,
+	}
+	// Only a lossy channel draws from the source (see buildBurst).
+	if link.LossProb > 0 {
+		n.rng = rand.New(rand.NewSource(link.Seed))
 	}
 	n.c.FirstTxTime = math.NaN()
 	return n, nil

@@ -47,6 +47,16 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Default(), nil); err == nil {
 		t.Fatal("nil policy must be rejected")
 	}
+	// An ideal link never draws channel randomness, so New allocates the
+	// node alone — no rand source.
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := New(Default(), AlwaysTransmit{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("ideal-link New allocates %.0f objects, want 1 (the node)", allocs)
+	}
 }
 
 func TestCyclePowerBudget(t *testing.T) {

@@ -50,7 +50,8 @@ type burstSeg struct {
 }
 
 // buildBurst simulates the channel outcomes for nPackets queued packets
-// and returns the resulting activity segments plus delivery counts.
+// and returns the resulting activity segments plus delivery counts. rng
+// is only read on a lossy link (LossProb > 0) and may be nil otherwise.
 func buildBurst(cfg Config, link LinkConfig, rng *rand.Rand, nPackets int) (segs []burstSeg, delivered, lost, retries int) {
 	for p := 0; p < nPackets; p++ {
 		attempts := 1 + link.MaxRetries

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/harvester"
-	"repro/internal/la"
 )
 
 // BatchStats summarizes the amortization a batch achieved: how many lanes
@@ -34,16 +33,18 @@ func (e *LaneError) Error() string { return fmt.Sprintf("sim: batch lane %d: %v"
 func (e *LaneError) Unwrap() error { return e.Err }
 
 // batchLane is one design point's private state inside the lockstep loop:
-// its per-lane model half (baked matrices + as-if-alone counters), slow
-// side, recorder, and the memoized tuner drift check — exactly the loop
-// state RunFast keeps in locals.
+// its fast state y = [x, v, i], its per-lane model half (baked matrices +
+// as-if-alone counters), slow side, recorder, optional drive recording, and
+// the memoized tuner drift check.
 type batchLane struct {
 	index   int // position in the original designs slice
+	y       [3]float64
 	model   fastModel
 	slow    *slowSide
 	rec     recorder
 	res     *Result
-	gamma   float64
+	drive   *resetStream // non-nil: record the envelope's reset stream (see Drives)
+	gamma   float64      // EMF(v) = Gamma·v, inlined for the hot loop
 	tunerOn bool
 
 	lastGap  float64
@@ -66,12 +67,11 @@ type groupKey struct {
 var batchStepHook func(step int, ln *batchLane) error
 
 // RunBatch simulates K design points in lockstep over a shared time base
-// with the fast engine. Each lane's floating-point stream is exactly the
-// one RunFast would execute for that design alone, so results[i] is
-// bit-identical to RunFast(designs[i], cfg) — the win is architectural:
-// lanes with identical (harvester, rin, dt) share one model group, so
-// tuner-driven ZOH rebuilds and the gap memo are paid once per group
-// instead of once per point, and the per-step excitation samples are
+// with the fast engine. RunFast is the one-lane case of the same loop, so
+// results[i] is bit-identical to RunFast(designs[i], cfg) — the win is
+// architectural: lanes with identical (harvester, rin, dt) share one model
+// group, so tuner-driven ZOH rebuilds and the gap memo are paid once per
+// group instead of once per point, and the per-step excitation samples are
 // evaluated once for the whole batch.
 //
 // results has len(designs). A lane that fails — invalid design, setup
@@ -85,6 +85,27 @@ func RunBatch(designs []Design, cfg Config) ([]*Result, error) {
 
 // RunBatchStats is RunBatch plus the batch's amortization statistics.
 func RunBatchStats(designs []Design, cfg Config) ([]*Result, BatchStats, error) {
+	return runBatch(designs, cfg, nil)
+}
+
+// runFast is RunFast on a prepared (d, cfg): a one-lane batch. When drive is
+// non-nil the run also records the envelope detector's reset stream into it
+// (see Drives). The lane's error is returned bare, not wrapped in
+// *LaneError.
+func runFast(d Design, cfg Config, drive *resetStream) (*Result, error) {
+	results, _, err := runBatch([]Design{d}, cfg, []*resetStream{drive})
+	if le := (*LaneError)(nil); errors.As(err, &le) {
+		err = le.Err
+	}
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
+
+// runBatch is the fast engine's one stepping loop. drives is nil or parallel
+// to designs; a non-nil drives[i] records lane i's reset stream.
+func runBatch(designs []Design, cfg Config, drives []*resetStream) ([]*Result, BatchStats, error) {
 	var stats BatchStats
 	if err := cfg.defaults(); err != nil {
 		return nil, stats, err
@@ -120,12 +141,15 @@ func RunBatchStats(designs []Design, cfg Config) ([]*Result, BatchStats, error) 
 		res := &Result{}
 		ln := &batchLane{
 			index:   i,
-			model:   fastModel{g: g, shadow: &gapKeys{}},
+			model:   fastModel{g: g},
 			slow:    slow,
 			rec:     recorder{cfg: cfg, d: d, res: res},
 			res:     res,
 			gamma:   d.Harv.Gamma,
 			tunerOn: slow.ctrl != nil,
+		}
+		if drives != nil {
+			ln.drive = drives[i]
 		}
 		if err := ln.model.rebuild(slow.gap); err != nil {
 			fail(i, err)
@@ -139,27 +163,8 @@ func RunBatchStats(designs []Design, cfg Config) ([]*Result, BatchStats, error) 
 	stats.Groups = len(groups)
 
 	nSteps := stepCount(cfg)
-	// SoA state: y0/y1/y2[j] are lane j's [x, v, i], kept in slices parallel
-	// to active so the fast-dynamics kernel streams over contiguous lanes.
-	y0 := make([]float64, len(active))
-	y1 := make([]float64, len(active))
-	y2 := make([]float64, len(active))
 	for _, ln := range active {
 		ln.rec.init(nSteps)
-	}
-
-	// drop removes lane j by swap-remove from active and every SoA slice.
-	// Lane order is free to change: lanes never read each other's state, and
-	// the shared group memo's entries are deterministic regardless of which
-	// lane bakes them, so compaction cannot disturb any surviving lane's
-	// floating-point stream.
-	drop := func(j int, err error) {
-		ln := active[j]
-		fail(ln.index, err)
-		last := len(active) - 1
-		active[j], y0[j], y1[j], y2[j] = active[last], y0[last], y1[last], y2[last]
-		active = active[:last]
-		y0, y1, y2 = y0[:last], y1[:last], y2[:last]
 	}
 
 	for k := 0; k < nSteps && len(active) > 0; k++ {
@@ -168,55 +173,47 @@ func RunBatchStats(designs []Design, cfg Config) ([]*Result, BatchStats, error) 
 		// the shared time base means one sample serves every lane.
 		accel := cfg.Source.Accel(t + cfg.DtSlow/2)
 		excf := cfg.Source.DominantFreq(t)
+		hook := batchStepHook
 
-		// Fast dynamics: advance maximal runs of adjacent lanes that share
-		// (group, gap bits, end-stop region) with one kernel call. Equal gap
-		// bits in the same group means the baked matrices are bit-identical
-		// copies of the same memo entry, so the first lane's arrays serve
-		// the whole run.
-		for j := 0; j < len(active); {
-			ln := active[j]
-			gapBits := math.Float64bits(ln.model.gap)
-			r := regionOf(y0[j], ln.model.g.h.MaxDisp)
-			run := j + 1
-			for run < len(active) {
-				nx := active[run]
-				if nx.model.g != ln.model.g ||
-					math.Float64bits(nx.model.gap) != gapBits ||
-					regionOf(y0[run], ln.model.g.h.MaxDisp) != r {
-					break
-				}
-				run++
-			}
-			la.StepLanes3(&ln.model.ad[r], &ln.model.bd[r], accel, y0, y1, y2, j, run)
-			j = run
-		}
-
-		// Slow side, per lane — the exact RunFast tail of the step. A
-		// rebuild failure drops the lane in place; the swap-remove pulls an
+		// One full step per lane: fast dynamics, then the slow side. A
+		// failure drops the lane in place; the swap-remove pulls an
 		// unprocessed lane into slot j, so no j++ on the drop path.
 		for j := 0; j < len(active); {
 			ln := active[j]
-			if batchStepHook != nil {
-				if err := batchStepHook(k, ln); err != nil {
-					drop(j, err)
+			if hook != nil {
+				if err := hook(k, ln); err != nil {
+					fail(ln.index, err)
+					active = drop(active, j)
 					continue
 				}
 			}
-			emf := ln.gamma * y1[j]
-			gap, _ := ln.slow.step(emf, excf)
+			ln.model.step(&ln.y, accel)
+			emf := ln.gamma * ln.y[1]
+			if ln.slow.envelope(emf) && ln.drive != nil {
+				ln.drive.add(k, ln.slow.env)
+			}
+			gap := ln.slow.stepEnv(emf, excf)
+			// The gap only moves while the tuner's actuator does, so the
+			// drift check memoizes the resonance of the last gap it saw
+			// (and model.fres caches the resonance at the matrices' own
+			// gap). Without a tuner the gap is constant and the check is
+			// skipped outright — either way the comparison sees exactly the
+			// values the unmemoized form would.
 			if ln.tunerOn {
 				if gap != ln.lastGap {
 					ln.lastGap, ln.lastFres = gap, ln.model.g.h.ResonantFreq(gap)
 				}
 				if math.Abs(ln.lastFres-ln.model.fres) > rebuildTolHz {
 					if err := ln.model.rebuild(gap); err != nil {
-						drop(j, err)
+						fail(ln.index, err)
+						active = drop(active, j)
 						continue
 					}
 				}
 			}
-			ln.rec.record(t+cfg.DtSlow, ln.slow.vs, y0[j], emf, gap)
+			if cfg.RecordWaveforms { // record checks too; this skips the call
+				ln.rec.record(t+cfg.DtSlow, ln.slow.vs, ln.y[0], emf, gap)
+			}
 			j++
 		}
 	}
@@ -234,4 +231,16 @@ func RunBatchStats(designs []Design, cfg Config) ([]*Result, BatchStats, error) 
 		stats.AmortizedRebuilds += g.amortized
 	}
 	return results, stats, errors.Join(laneErrs...)
+}
+
+// drop swap-removes lane j from active and returns the shortened slice.
+// Lane order is free to change: lanes never read each other's state, and
+// the shared group memo's entries are deterministic regardless of which
+// lane bakes them, so compaction cannot disturb any surviving lane's
+// floating-point stream. It returns the slice rather than closing over it
+// so the hot loop keeps the slice header in registers.
+func drop(active []*batchLane, j int) []*batchLane {
+	last := len(active) - 1
+	active[j] = active[last]
+	return active[:last]
 }

@@ -44,7 +44,8 @@ func compareLane(t *testing.T, name string, want, got *Result) {
 // TestRunBatchMatchesRunFastBitwise is the batch engine's half of the
 // equivalence suite: across the T1/T6 grids and the tuning transients,
 // every lane of a 4-wide batch must be bit-identical to running that
-// design alone through RunFast.
+// design alone through RunFast — counters included — and, since RunFast is
+// itself a one-lane batch, to the independent seed replica runFastSeed.
 func TestRunBatchMatchesRunFastBitwise(t *testing.T) {
 	for _, tc := range equivalenceGrid(t) {
 		tc := tc
@@ -58,11 +59,17 @@ func TestRunBatchMatchesRunFastBitwise(t *testing.T) {
 				t.Fatalf("stats = %+v, want %d lanes in 1 group", stats, len(designs))
 			}
 			for i, d := range designs {
+				name := fmt.Sprintf("%s/lane%d", tc.name, i)
 				want, err := RunFast(d, tc.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				compareLane(t, fmt.Sprintf("%s/lane%d", tc.name, i), want, got[i])
+				compareLane(t, name, want, got[i])
+				seed, err := runFastSeed(d, tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareResults(t, name+"/seed", seed, got[i])
 			}
 		})
 	}
@@ -245,8 +252,9 @@ func TestRunBatchEmptyAndSingle(t *testing.T) {
 	compareLane(t, "single", want, got[0])
 }
 
-// FuzzBatchLaneEquivalence compares RunBatch at K=1 against RunFast
-// byte-for-byte over fuzzed slow-side and excitation parameters.
+// FuzzBatchLaneEquivalence compares RunFast — a one-lane run of the batch
+// loop — against the seed replica runFastSeed byte-for-byte over fuzzed
+// slow-side and excitation parameters.
 func FuzzBatchLaneEquivalence(f *testing.F) {
 	f.Add(1.0, 5.0, 3.0, 47.0, false)
 	f.Add(2.0, 2.0, 3.2, 45.0, true)
@@ -269,14 +277,14 @@ func FuzzBatchLaneEquivalence(f *testing.F) {
 		cfg := Config{Horizon: horizon, Source: vibration.Sine{Amplitude: 0.6, Freq: freq},
 			RecordWaveforms: true, Decimate: 25}
 
-		want, errFast := RunFast(d, cfg)
-		got, errBatch := RunBatch([]Design{d}, cfg)
-		if (errFast == nil) != (errBatch == nil) {
-			t.Fatalf("error disagreement: RunFast %v vs RunBatch %v", errFast, errBatch)
+		want, errSeed := runFastSeed(d, cfg)
+		got, errFast := RunFast(d, cfg)
+		if (errSeed == nil) != (errFast == nil) {
+			t.Fatalf("error disagreement: seed %v vs RunFast %v", errSeed, errFast)
 		}
-		if errFast != nil {
+		if errSeed != nil {
 			return
 		}
-		compareLane(t, "fuzz", want, got[0])
+		compareResults(t, "fuzz", want, got)
 	})
 }

@@ -91,3 +91,17 @@ func BenchmarkRunFastRecord(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunBatch16 measures ten seconds of 16 lockstep lanes: slow-side
+// variants of the default design at resonance, so all lanes share one
+// model group and the loop is measured at K>1.
+func BenchmarkRunBatch16(b *testing.B) {
+	designs := slowSideVariants(DefaultDesign(), 16)
+	cfg := Config{Horizon: 10, Source: benchSource(designs[0])}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunBatch(designs, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -18,14 +18,14 @@ import (
 // regulator, node and policy only consume it. Design points that differ
 // only in those slow-side factors therefore share one drive.
 //
-// The first sighting of a drive runs RunFast and records the drive. Every
-// later sighting replays it, stepping only the slow side; one that arrives
-// while the recording run is still in flight runs plain RunFast. Results
-// are bit-identical to RunFast: the replay feeds the envelope the values
-// RunFast computed and then runs the same slow-side body
-// (slowSide.stepEnv). A design is shared only when it is untuned, does not
-// record waveforms, and its Source is comparable (usable as a map key); any
-// other design runs plain RunFast.
+// The first sighting of a drive runs RunFast, whose one lane records the
+// drive as the stepping loop goes. Every later sighting replays it,
+// stepping only the slow side; one that arrives while the recording run is
+// still in flight runs plain RunFast. Results are bit-identical to
+// RunFast: the replay feeds the envelope the values RunFast computed and
+// then runs the same slow-side body (slowSide.stepEnv). A design is shared
+// only when it is untuned, does not record waveforms, and its Source is
+// comparable (usable as a map key); any other design runs plain RunFast.
 //
 // The zero value is ready to use. Drives is safe for concurrent use.
 type Drives struct {

@@ -70,6 +70,18 @@ func (m *seedFastModel) rebuild(gap float64) error {
 	return nil
 }
 
+// regionOf is the seed engine's end-stop region test.
+func regionOf(x, limit float64) region {
+	switch {
+	case x > limit:
+		return regionUpper
+	case x < -limit:
+		return regionLower
+	default:
+		return regionFree
+	}
+}
+
 func (m *seedFastModel) step(y []float64, accel float64) {
 	r := regionOf(y[0], m.d.Harv.MaxDisp)
 	ad, bd := m.ad[r], m.bd[r]
@@ -456,7 +468,7 @@ func TestGapMemoCarriesRebuildTraffic(t *testing.T) {
 // exactly zero allocations per step.
 func TestFastModelStepZeroAllocs(t *testing.T) {
 	d := DefaultDesign()
-	m := newFastModel(d.Harv, d.Mult.InputR, 1e-3)
+	m := &fastModel{g: newModelGroup(d.Harv, d.Mult.InputR, 1e-3)}
 	if err := m.rebuild(d.Harv.GapMax); err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,11 @@
 //     paper [4]: the piecewise-linear system (free / end-stop contact
 //     regions) is discretized exactly per region with a zero-order-hold
 //     matrix exponential, so each step is one small mat-vec. This is the
-//     engine that makes building response surfaces affordable.
+//     engine that makes building response surfaces affordable. It has one
+//     stepping loop, in batch.go: RunBatch steps K design points in
+//     lockstep, each lane with its own [3]float64 state and a model group
+//     (gap memo) shared by lanes with identical fast dynamics, and RunFast
+//     is the one-lane case.
 //
 // Both engines share the identical slow side (multiplier, store, regulator,
 // node, tuner), so their outputs differ only by integration error — the
@@ -232,24 +236,25 @@ func initialGap(d Design) float64 {
 	return d.Harv.ClampGap(gap)
 }
 
-// step advances the slow side by one dt given the coil EMF sample and the
-// current excitation frequency (the charge pump's operating frequency). It
-// returns the magnet gap for the next fast-dynamics step, and whether |emf|
-// beat the decayed envelope (a reset of the peak detector).
-func (s *slowSide) step(emf, excFreq float64) (gap float64, reset bool) {
-	// EMF envelope (peak detector with exponential release).
+// envelope advances the EMF peak detector (exponential release) by one dt
+// and reports whether |emf| beat the decayed envelope (a reset). A full
+// slow-side step is envelope(emf) then stepEnv(emf, excFreq). They stay two
+// calls so envelope inlines into the stepping loops, and so a drive replay
+// (see Drives) can set the envelope from its recorded reset stream instead.
+func (s *slowSide) envelope(emf float64) (reset bool) {
 	s.env *= s.envDecay
 	if a := math.Abs(emf); a > s.env {
 		s.env = a
-		reset = true
+		return true
 	}
-	return s.stepEnv(emf, excFreq), reset
+	return false
 }
 
-// stepEnv is step after the envelope update: everything downstream of the
-// envelope detector. A drive replay (see Drives) updates the envelope from
-// its recorded reset stream and then calls stepEnv, so every path through
-// the slow side shares this one body. emf only reaches the tuner.
+// stepEnv advances everything downstream of the envelope detector by one
+// dt, given the current excitation frequency (the charge pump's operating
+// frequency), and returns the magnet gap for the next fast-dynamics step.
+// Every path through the slow side shares this one body. emf only reaches
+// the tuner.
 func (s *slowSide) stepEnv(emf, excFreq float64) float64 {
 	dt := s.dt
 	// Multiplier: EMF behind the coil resistance drives the pump input.
@@ -347,17 +352,6 @@ const (
 	regionLower
 )
 
-func regionOf(x, limit float64) region {
-	switch {
-	case x > limit:
-		return regionUpper
-	case x < -limit:
-		return regionLower
-	default:
-		return regionFree
-	}
-}
-
 // gapMemoCap bounds the per-run rebuild memo. A tuning transient revisits
 // the gaps of its previous excursions — the actuator retraces exact
 // deterministic paths between estimator-quantized targets — so the memo
@@ -418,16 +412,16 @@ func (g *gapMemo) slot(bits uint64) *gapEntry {
 }
 
 // rebuildTolHz is the resonance granularity below which a gap change does
-// not justify a matrix rebuild (Hz). RunFast and RunBatch share it so their
-// rebuild decisions are identical step for step.
+// not justify a matrix rebuild (Hz). Every lane of the stepping loop tests
+// its drift against it after each slow step.
 const rebuildTolHz = 0.05
 
 // modelGroup is the shared half of the fast engine's model: everything
 // that depends only on (harvester, multiplier input R, dt) — the gap memo,
 // the discretization workspace and its scratch matrices, plus the actual
-// work counters. RunFast owns exactly one; RunBatch shares one across all
-// lanes with identical parameters, so a rebuild performed by any lane
-// answers every other lane's request for the same gap from the memo.
+// work counters. All lanes of a run with identical parameters share one,
+// so a rebuild performed by any lane answers every other lane's request
+// for the same gap from the memo; a one-lane run owns its group outright.
 type modelGroup struct {
 	h   harvester.Params
 	rin float64
@@ -439,7 +433,7 @@ type modelGroup struct {
 	b    *la.Matrix // 3×2 continuous-time scratch
 
 	bakes     int // ZOH discretizations actually performed
-	amortized int // lane rebuilds answered by another lane's bake (batch only)
+	amortized int // lane rebuilds answered by another lane's bake
 }
 
 func newModelGroup(h harvester.Params, rin, dt float64) *modelGroup {
@@ -501,10 +495,10 @@ func (g *modelGroup) bake(bits uint64, gap float64) (*gapEntry, error) {
 }
 
 // gapKeys replays the gapMemo LRU policy over one lane's own request
-// stream without storing any matrices. RunBatch lanes use it to keep their
-// per-lane Rebuilds/RebuildHits counters exactly what a solo RunFast of
-// the same design would report, even though the actual matrix work is
-// amortized through the shared group memo.
+// stream without storing any matrices. Every lane uses it to keep its
+// Rebuilds/RebuildHits counters exactly what a lane-private memo would
+// report, even though the actual matrix work is amortized through the
+// shared group memo.
 type gapKeys struct {
 	bits [gapMemoCap]uint64
 	tick [gapMemoCap]uint64
@@ -540,52 +534,32 @@ func (g *gapKeys) request(b uint64) bool {
 }
 
 // fastModel is the per-lane half of the fast engine's model: the lane's
-// current gap and its baked per-region update matrices, flat row-major so
-// step is straight-line float math — no method calls, no bounds checks, no
-// allocations. State y = [x, v, i]; input u = [accel, 1] (the constant
-// channel carries the end-stop offset force). Rebuild work lives in the
-// (possibly shared) modelGroup.
+// baked per-region update matrices, flat row-major so step is straight-line
+// float math — no method calls, no bounds checks, no allocations. State
+// y = [x, v, i]; input u = [accel, 1] (the constant channel carries the
+// end-stop offset force). Rebuild work lives in the (possibly shared)
+// modelGroup.
 type fastModel struct {
 	g    *modelGroup
-	gap  float64
-	fres float64 // g.h.ResonantFreq(gap), cached for the drift check
+	fres float64 // g.h.ResonantFreq of the matrices' gap, cached for the drift check
 	ad   [3][9]float64
 	bd   [3][6]float64
 
-	// shadow, when non-nil (batch lanes), keeps the as-if-alone counters
-	// honest against the shared memo; nil (RunFast) mirrors the group memo
-	// outcome directly.
-	shadow *gapKeys
+	// shadow keeps the as-if-alone counters honest against the group memo.
+	// A lone lane's shadow sees exactly its group memo's request stream, so
+	// there it reports the memo's own hits and misses.
+	shadow gapKeys
 
 	rebuilds int // rebuilds a lane-private memo would have missed
 	memoHits int // rebuilds a lane-private memo would have answered
 }
 
-func newFastModel(h harvester.Params, rin, dt float64) *fastModel {
-	return &fastModel{g: newModelGroup(h, rin, dt)}
-}
-
+// rebuild points the lane at the baked matrices for gap: it counts the
+// request as-if-alone via the shadow LRU, then satisfies it from the group
+// memo, baking on a miss (possibly for another lane's later benefit).
 func (m *fastModel) rebuild(gap float64) error {
-	m.gap = gap
 	m.fres = m.g.h.ResonantFreq(gap)
 	bits := math.Float64bits(gap)
-	if m.shadow == nil {
-		// Single lane: the group memo is the lane's own memo.
-		if e := m.g.memo.lookup(bits); e != nil {
-			m.ad, m.bd = e.ad, e.bd
-			m.memoHits++
-			return nil
-		}
-		e, err := m.g.bake(bits, gap)
-		if err != nil {
-			return err
-		}
-		m.ad, m.bd = e.ad, e.bd
-		m.rebuilds++
-		return nil
-	}
-	// Batch lane: count as-if-alone via the shadow LRU, then satisfy the
-	// request from the shared memo (possibly baked by another lane).
 	aloneMiss := m.shadow.request(bits)
 	e := m.g.memo.lookup(bits)
 	if e == nil {
@@ -623,7 +597,7 @@ func (m *fastModel) step(y *[3]float64, accel float64) {
 }
 
 // RunFast simulates the design with the explicit linearized state-space
-// engine.
+// engine: a one-lane run of the RunBatch loop.
 func RunFast(d Design, cfg Config) (*Result, error) {
 	if err := prepare(d, &cfg); err != nil {
 		return nil, err
@@ -638,64 +612,6 @@ func prepare(d Design, cfg *Config) error {
 		return err
 	}
 	return cfg.defaults()
-}
-
-// runFast is RunFast on a prepared (d, cfg). When drive is non-nil the run
-// also records the envelope detector's reset stream into it (see Drives).
-func runFast(d Design, cfg Config, drive *resetStream) (*Result, error) {
-	start := time.Now()
-	slow, err := newSlowSide(d, cfg.DtSlow)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{}
-	rec := &recorder{cfg: cfg, d: d, res: res}
-
-	model := newFastModel(d.Harv, d.Mult.InputR, cfg.DtSlow)
-	if err := model.rebuild(slow.gap); err != nil {
-		return nil, err
-	}
-
-	var y [3]float64 // x, v, i
-	nSteps := stepCount(cfg)
-	rec.init(nSteps)
-	// The gap only moves while the tuner's actuator does, so the drift
-	// check memoizes the resonance of the last gap it saw (and model.fres
-	// caches the resonance at the matrices' own gap). Without a tuner the
-	// gap is constant and the check is skipped outright — either way the
-	// comparison sees exactly the values the unmemoized form would.
-	tunerOn := slow.ctrl != nil
-	gamma := d.Harv.Gamma // EMF(v) = Gamma·v, inlined for the hot loop
-	lastGap, lastFres := slow.gap, model.fres
-	for k := 0; k < nSteps; k++ {
-		t := float64(k) * cfg.DtSlow
-		// Midpoint sampling of the excitation halves the ZOH phase error.
-		accel := cfg.Source.Accel(t + cfg.DtSlow/2)
-		model.step(&y, accel)
-
-		emf := gamma * y[1]
-		gap, reset := slow.step(emf, cfg.Source.DominantFreq(t))
-		if reset && drive != nil {
-			drive.add(k, slow.env)
-		}
-		if tunerOn {
-			if gap != lastGap {
-				lastGap, lastFres = gap, d.Harv.ResonantFreq(gap)
-			}
-			if math.Abs(lastFres-model.fres) > rebuildTolHz {
-				if err := model.rebuild(gap); err != nil {
-					return nil, err
-				}
-			}
-		}
-		rec.record(t+cfg.DtSlow, slow.vs, y[0], emf, gap)
-	}
-	res.Steps = nSteps
-	res.Rebuilds = model.rebuilds
-	res.RebuildHits = model.memoHits
-	slow.finish(res, cfg.Horizon)
-	res.Elapsed = time.Since(start)
-	return res, nil
 }
 
 // stepCount is the number of slow steps a run of cfg takes.
@@ -750,7 +666,8 @@ func RunReference(d Design, cfg Config) (*Result, error) {
 		res.FuncEvals += st.FuncEvals
 
 		emf := d.Harv.EMF(y[1])
-		gap, _ = slow.step(emf, cfg.Source.DominantFreq(t))
+		slow.envelope(emf)
+		gap = slow.stepEnv(emf, cfg.Source.DominantFreq(t))
 		rec.record(t+cfg.DtSlow, slow.vs, y[0], emf, gap)
 	}
 	slow.finish(res, cfg.Horizon)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -45,14 +46,39 @@ func TestValidateRejectsBrokenDesigns(t *testing.T) {
 	}
 }
 
+// TestConfigValidation also pins RunFast's error shape: RunFast is a
+// one-lane batch, but its errors must be the bare cause, never wrapped in
+// the batch's *LaneError.
 func TestConfigValidation(t *testing.T) {
 	d := DefaultDesign()
-	if _, err := RunFast(d, Config{Horizon: 0, Source: resonantSource(d)}); err == nil {
-		t.Fatal("zero horizon must error")
+	bare := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s must error", what)
+		}
+		if errors.As(err, new(*LaneError)) {
+			t.Fatalf("%s: RunFast leaked a lane wrapper: %v", what, err)
+		}
 	}
-	if _, err := RunFast(d, Config{Horizon: 1}); err == nil {
-		t.Fatal("missing source must error")
+	bad := d
+	bad.Policy = nil
+	cfg := Config{Horizon: 1, Source: resonantSource(d)}
+	_, err := RunFast(bad, cfg)
+	bare("bad design", err)
+	if want := bad.Validate(); err.Error() != want.Error() {
+		t.Fatalf("bad design: RunFast error %q, want Validate's %q", err, want)
 	}
+	// runFast, behind RunFast's prepare, meets the bad design as a lane
+	// setup failure; it too must hand back the bare Validate error.
+	_, err = runFast(bad, cfg, nil)
+	bare("bad design lane", err)
+	if want := bad.Validate(); err.Error() != want.Error() {
+		t.Fatalf("bad design lane: runFast error %q, want Validate's %q", err, want)
+	}
+	_, err = RunFast(d, Config{Horizon: 0, Source: resonantSource(d)})
+	bare("zero horizon", err)
+	_, err = RunFast(d, Config{Horizon: 1})
+	bare("missing source", err)
 }
 
 func TestFastRunHarvestsAtResonance(t *testing.T) {
