@@ -9,7 +9,7 @@ build:
 	$(GO) build ./...
 
 vet:
-	$(GO) vet ./...
+	$(GO) vet ./... && (cd e2ebench && $(GO) vet ./...)
 
 test:
 	$(GO) test ./...

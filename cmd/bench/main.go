@@ -41,7 +41,6 @@ const refHorizon = 0.1
 
 var (
 	sinkResult  *sim.Result
-	sinkFloat   float64
 	sinkMatrix  *la.Matrix
 	sinkString  string
 	sinkPredict []float64

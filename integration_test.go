@@ -51,19 +51,6 @@ func TestEndToEndDesignFlow(t *testing.T) {
 	} else if lof.Replicates == 0 {
 		t.Fatal("CCD centre replication not detected")
 	}
-	// Influence diagnostics must be well-defined for every run. (Outlier
-	// thresholds are not asserted here: with a deterministic simulator the
-	// residual σ is nearly zero, so any model bias inflates studentized
-	// residuals — the statistic is meaningful under replication noise.)
-	cooks := fit.CooksDistances()
-	if len(cooks) != design.N() {
-		t.Fatalf("Cook's distances: %d values for %d runs", len(cooks), design.N())
-	}
-	for i, c := range cooks {
-		if math.IsNaN(c) || c < 0 {
-			t.Fatalf("bad Cook's distance %v at run %d", c, i)
-		}
-	}
 
 	// Phase 4: instant exploration — the Pareto front over the surfaces
 	// must contain an energy-positive design.

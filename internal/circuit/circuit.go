@@ -10,9 +10,8 @@
 // voltage multiplier with Schottky diodes) against which the fast
 // behavioural and linearized state-space engines are validated.
 //
-// Supported elements: resistors, capacitors, inductors, Shockley diodes,
-// independent voltage sources (time-varying), independent current sources
-// (time-varying). Node 0 is ground.
+// Supported elements: resistors, capacitors, inductors, Shockley diodes and
+// independent voltage sources (time-varying). Node 0 is ground.
 package circuit
 
 import (
@@ -68,7 +67,6 @@ const (
 	kindInductor
 	kindDiode
 	kindVSource
-	kindISource
 )
 
 type element struct {
@@ -175,15 +173,6 @@ func (c *Circuit) AddVoltageSource(name string, a, b int, wave Waveform) error {
 		return fmt.Errorf("circuit: voltage source %q needs a waveform", name)
 	}
 	return c.addElem(&element{kind: kindVSource, name: name, a: a, b: b, wave: wave})
-}
-
-// AddCurrentSource adds an independent current source injecting wave(t)
-// amperes from node a into node b.
-func (c *Circuit) AddCurrentSource(name string, a, b int, wave Waveform) error {
-	if wave == nil {
-		return fmt.Errorf("circuit: current source %q needs a waveform", name)
-	}
-	return c.addElem(&element{kind: kindISource, name: name, a: a, b: b, wave: wave})
 }
 
 // TransientConfig controls the transient analysis.
@@ -368,9 +357,6 @@ func (c *Circuit) solveStep(t, h float64, x []float64, cfg TransientConfig, st *
 					g.Add(bi, e.b-1, -1)
 				}
 				rhs[bi] += e.wave(t)
-
-			case kindISource:
-				stampCurrent(e.a, e.b, e.wave(t))
 			}
 		}
 

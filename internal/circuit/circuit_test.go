@@ -49,9 +49,6 @@ func TestElementValidation(t *testing.T) {
 	if err := c.AddVoltageSource("V1", a, b, nil); err == nil {
 		t.Fatal("nil waveform must error")
 	}
-	if err := c.AddCurrentSource("I1", a, b, nil); err == nil {
-		t.Fatal("nil waveform must error")
-	}
 }
 
 func TestResistorDivider(t *testing.T) {

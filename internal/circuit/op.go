@@ -94,9 +94,6 @@ func (c *Circuit) OperatingPoint(cfg TransientConfig) (*OPResult, error) {
 					g.Add(bi, e.b-1, -1)
 				}
 				rhs[bi] += e.wave(0)
-
-			case kindISource:
-				stampCurrent(e.a, e.b, e.wave(0))
 			}
 		}
 

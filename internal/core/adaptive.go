@@ -38,9 +38,9 @@ const adaptiveMaxPasses = 4
 type AdaptiveConfig struct {
 	// Model defaults to rsm.FullQuadratic(k).
 	Model rsm.Model
-	// CandidateLevels is the per-factor resolution of the quantized
-	// candidate lattice (default 5 → levels −1, −0.5, 0, 0.5, 1 — the
-	// opt.Quantized step-0.25 grid, so optimizer revisits hit the simcache).
+	// CandidateLevels is the per-factor resolution of the candidate
+	// lattice (default 5 → levels −1, −0.5, 0, 0.5, 1, so a rerun's
+	// points hit the simcache).
 	CandidateLevels int
 	// InitialPoints is the size of the round-0 D-optimal design
 	// (default p+2). CenterReplicates centre copies are appended on top

@@ -205,8 +205,8 @@ func TestAdaptiveDeterministicAndOnLattice(t *testing.T) {
 			t.Fatal("coefficients differ between identical seeds")
 		}
 	}
-	// Every selected point sits on the quantized candidate lattice, so
-	// optimizer revisits and reruns hit the simcache.
+	// Every selected point sits on the candidate lattice, so reruns hit
+	// the simcache.
 	for i, run := range a.Dataset.Design.Runs {
 		for _, v := range run {
 			if q := math.Round((v+1)/0.5) * 0.5; math.Abs(v-(q-1)) > 1e-12 {

@@ -43,11 +43,3 @@ func BenchmarkDOptimalFedorov(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkPlackettBurman24(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := PlackettBurman(24, 23); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -2,11 +2,9 @@
 // (−1 … +1): the experiment plans whose runs are the "moderate number of
 // simulations" the paper spends to build its response surfaces.
 //
-// Provided designs: two-level full factorial, regular two-level fractional
-// factorial (via generator strings), Plackett–Burman screening designs,
-// central composite (circumscribed/face-centred/inscribed), Box–Behnken,
-// maximin Latin hypercube sampling, and D-optimal subsets selected by
-// Fedorov exchange.
+// Provided designs: two-level full factorial, central composite
+// (circumscribed/face-centred/inscribed), Box–Behnken, maximin Latin
+// hypercube sampling, and D-optimal subsets selected by Fedorov exchange.
 package doe
 
 import (
@@ -14,7 +12,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 )
 
 // Design is a set of experiment runs; Runs[i][j] is the coded level of
@@ -133,123 +130,6 @@ func TwoLevelFactorial(k int) (*Design, error) {
 	}
 	d.Name = fmt.Sprintf("2^%d", k)
 	return d, nil
-}
-
-// FractionalFactorial returns a regular 2^(k−p) design. base is the number
-// of independent factors; each generator defines one additional factor as a
-// product of base factors, written like "E=ABCD" (letters A… map to factors
-// 1…). The returned design has base+len(generators) factors in the order
-// A, B, …, then the generated ones.
-func FractionalFactorial(base int, generators []string) (*Design, error) {
-	if base < 2 || base > 20 {
-		return nil, fmt.Errorf("doe: base factor count %d out of range", base)
-	}
-	full, err := TwoLevelFactorial(base)
-	if err != nil {
-		return nil, err
-	}
-	type gen struct{ cols []int }
-	gens := make([]gen, 0, len(generators))
-	for _, g := range generators {
-		parts := strings.SplitN(strings.ReplaceAll(g, " ", ""), "=", 2)
-		if len(parts) != 2 || len(parts[1]) == 0 {
-			return nil, fmt.Errorf("doe: bad generator %q (want like \"E=ABC\")", g)
-		}
-		var cols []int
-		for _, ch := range strings.ToUpper(parts[1]) {
-			idx := int(ch - 'A')
-			if idx < 0 || idx >= base {
-				return nil, fmt.Errorf("doe: generator %q references factor %c outside the %d base factors", g, ch, base)
-			}
-			cols = append(cols, idx)
-		}
-		gens = append(gens, gen{cols: cols})
-	}
-	runs := make([][]float64, full.N())
-	for i, row := range full.Runs {
-		out := make([]float64, base+len(gens))
-		copy(out, row)
-		for gi, g := range gens {
-			v := 1.0
-			for _, c := range g.cols {
-				v *= row[c]
-			}
-			out[base+gi] = v
-		}
-		runs[i] = out
-	}
-	return &Design{
-		Name: fmt.Sprintf("2^(%d-%d)", base+len(gens), len(gens)),
-		Runs: runs,
-	}, nil
-}
-
-// pbGenerators are the classical first rows of Plackett–Burman designs.
-var pbGenerators = map[int][]int{
-	12: {1, 1, -1, 1, 1, 1, -1, -1, -1, 1, -1},
-	20: {1, 1, -1, -1, 1, 1, 1, 1, -1, 1, -1, 1, -1, -1, -1, -1, 1, 1, -1},
-	24: {1, 1, 1, 1, 1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, -1, 1, -1, 1, -1, -1, -1, -1},
-}
-
-// PlackettBurman returns an n-run screening design for up to n−1 factors
-// (n ∈ {4, 8, 12, 16, 20, 24}); k columns are kept.
-func PlackettBurman(n, k int) (*Design, error) {
-	if k < 1 || k > n-1 {
-		return nil, fmt.Errorf("doe: PB(%d) supports 1–%d factors, got %d", n, n-1, k)
-	}
-	var rows [][]float64
-	switch n {
-	case 4, 8, 16:
-		h := hadamardSylvester(n)
-		rows = make([][]float64, n)
-		for i := 0; i < n; i++ {
-			row := make([]float64, n-1)
-			copy(row, h[i][1:]) // drop the constant column
-			rows[i] = row
-		}
-	case 12, 20, 24:
-		g := pbGenerators[n]
-		rows = make([][]float64, 0, n)
-		for shift := 0; shift < n-1; shift++ {
-			row := make([]float64, n-1)
-			for j := 0; j < n-1; j++ {
-				row[j] = float64(g[(j+shift)%(n-1)])
-			}
-			rows = append(rows, row)
-		}
-		all := make([]float64, n-1)
-		for i := range all {
-			all[i] = -1
-		}
-		rows = append(rows, all)
-	default:
-		return nil, fmt.Errorf("doe: PB run count %d unsupported (use 4, 8, 12, 16, 20 or 24)", n)
-	}
-	runs := make([][]float64, len(rows))
-	for i, r := range rows {
-		runs[i] = append([]float64(nil), r[:k]...)
-	}
-	return &Design{Name: fmt.Sprintf("PB%d", n), Runs: runs}, nil
-}
-
-// hadamardSylvester builds the order-n Sylvester Hadamard matrix (n a power
-// of two) with ±1 entries.
-func hadamardSylvester(n int) [][]float64 {
-	h := [][]float64{{1}}
-	for m := 1; m < n; m *= 2 {
-		nh := make([][]float64, 2*m)
-		for i := 0; i < m; i++ {
-			top := make([]float64, 2*m)
-			bot := make([]float64, 2*m)
-			for j := 0; j < m; j++ {
-				top[j], top[m+j] = h[i][j], h[i][j]
-				bot[j], bot[m+j] = h[i][j], -h[i][j]
-			}
-			nh[i], nh[m+i] = top, bot
-		}
-		h = nh
-	}
-	return h
 }
 
 // CCDKind selects the central composite variant.

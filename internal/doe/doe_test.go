@@ -104,101 +104,6 @@ func TestTwoLevelFactorialBalance(t *testing.T) {
 	}
 }
 
-func TestFractionalFactorial(t *testing.T) {
-	// 2^(5-1) with E=ABCD: 16 runs, 5 factors.
-	d, err := FractionalFactorial(4, []string{"E=ABCD"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.N() != 16 || d.K() != 5 {
-		t.Fatalf("2^(5-1): n=%d k=%d", d.N(), d.K())
-	}
-	// Generated column is the product of its parents.
-	for _, r := range d.Runs {
-		if r[4] != r[0]*r[1]*r[2]*r[3] {
-			t.Fatalf("generator violated in run %v", r)
-		}
-	}
-	// Orthogonality of main effects: any two distinct columns have zero
-	// dot product.
-	for a := 0; a < 5; a++ {
-		for b := a + 1; b < 5; b++ {
-			var s float64
-			for _, r := range d.Runs {
-				s += r[a] * r[b]
-			}
-			if s != 0 {
-				t.Fatalf("columns %d,%d not orthogonal", a, b)
-			}
-		}
-	}
-}
-
-func TestFractionalFactorialValidation(t *testing.T) {
-	if _, err := FractionalFactorial(1, nil); err == nil {
-		t.Fatal("base=1 must error")
-	}
-	if _, err := FractionalFactorial(3, []string{"bad"}); err == nil {
-		t.Fatal("malformed generator must error")
-	}
-	if _, err := FractionalFactorial(3, []string{"D=ABZ"}); err == nil {
-		t.Fatal("out-of-range letter must error")
-	}
-}
-
-func TestPlackettBurmanOrthogonality(t *testing.T) {
-	for _, n := range []int{4, 8, 12, 16, 20, 24} {
-		d, err := PlackettBurman(n, n-1)
-		if err != nil {
-			t.Fatalf("PB%d: %v", n, err)
-		}
-		if d.N() != n || d.K() != n-1 {
-			t.Fatalf("PB%d: n=%d k=%d", n, d.N(), d.K())
-		}
-		for a := 0; a < d.K(); a++ {
-			var sum float64
-			for _, r := range d.Runs {
-				if r[a] != 1 && r[a] != -1 {
-					t.Fatalf("PB%d non-±1 entry", n)
-				}
-				sum += r[a]
-			}
-			if sum != 0 {
-				t.Fatalf("PB%d column %d unbalanced (sum %v)", n, a, sum)
-			}
-			for b := a + 1; b < d.K(); b++ {
-				var dot float64
-				for _, r := range d.Runs {
-					dot += r[a] * r[b]
-				}
-				if dot != 0 {
-					t.Fatalf("PB%d columns %d,%d not orthogonal (dot %v)", n, a, b, dot)
-				}
-			}
-		}
-	}
-}
-
-func TestPlackettBurmanValidation(t *testing.T) {
-	if _, err := PlackettBurman(10, 5); err == nil {
-		t.Fatal("unsupported run count must error")
-	}
-	if _, err := PlackettBurman(12, 12); err == nil {
-		t.Fatal("too many factors must error")
-	}
-	if _, err := PlackettBurman(12, 0); err == nil {
-		t.Fatal("zero factors must error")
-	}
-	// Truncated to k columns.
-	d, err := PlackettBurman(12, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.K() != 6 {
-		t.Fatalf("k = %d, want 6", d.K())
-	}
-}
-
 func TestCentralCompositeStructure(t *testing.T) {
 	k := 3
 	d, err := CentralComposite(k, CCC, 4)

@@ -7,10 +7,9 @@ import (
 
 // CandidateLattice returns the candidate pool for sequential D-optimal
 // augmentation: the full grid of `levels` evenly spaced coded levels per
-// factor spanning −1…+1. The levels are exactly the lattice opt.Quantized
-// snaps to with step = 1/(levels−1), so every candidate an adaptive build
-// simulates lands on the same points an optimizer revisits — repeat visits
-// are simcache hits, never fresh simulations.
+// factor spanning −1…+1. A rerun of an adaptive build with the same seed
+// selects the same lattice points, so its simulations are simcache hits,
+// never fresh simulations.
 func CandidateLattice(k, levels int) (*Design, error) {
 	d, err := FullFactorial(k, levels)
 	if err != nil {

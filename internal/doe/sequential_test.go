@@ -13,14 +13,13 @@ func TestCandidateLatticeLevels(t *testing.T) {
 	if d.N() != 25 || d.K() != 2 {
 		t.Fatalf("lattice 5^2: got n=%d k=%d", d.N(), d.K())
 	}
-	// The levels must be the opt.Quantized lattice for step=0.25:
-	// −1, −0.5, 0, 0.5, 1 exactly, so adaptive candidates are cache hits
-	// for quantized optimizer revisits.
+	// Five levels must land exactly on −1, −0.5, 0, 0.5, 1: the lattice
+	// steps a quarter of the coded range per factor.
 	want := map[float64]bool{-1: true, -0.5: true, 0: true, 0.5: true, 1: true}
 	for _, r := range d.Runs {
 		for _, v := range r {
 			if !want[v] {
-				t.Fatalf("lattice level %v not on the quantized grid", v)
+				t.Fatalf("lattice level %v not on the 5-level grid", v)
 			}
 		}
 	}

@@ -195,18 +195,3 @@ func Filter(cands []Candidate, constraints ...Constraint) []Candidate {
 	}
 	return out
 }
-
-// BestBy returns the candidate maximizing objective i, or false when the
-// set is empty.
-func BestBy(cands []Candidate, i int) (Candidate, bool) {
-	if len(cands) == 0 {
-		return Candidate{}, false
-	}
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if i < len(c.Objectives) && c.Objectives[i] > best.Objectives[i] {
-			best = c
-		}
-	}
-	return best, true
-}

@@ -161,18 +161,3 @@ func TestConstraintsAndFilter(t *testing.T) {
 		t.Fatal("bad index must reject")
 	}
 }
-
-func TestBestBy(t *testing.T) {
-	cands := []Candidate{
-		{X: []float64{0}, Objectives: []float64{1}},
-		{X: []float64{1}, Objectives: []float64{3}},
-		{X: []float64{2}, Objectives: []float64{2}},
-	}
-	best, ok := BestBy(cands, 0)
-	if !ok || best.X[0] != 1 {
-		t.Fatalf("best = %v ok=%v", best, ok)
-	}
-	if _, ok := BestBy(nil, 0); ok {
-		t.Fatal("empty set must report !ok")
-	}
-}

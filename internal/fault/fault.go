@@ -194,12 +194,6 @@ type Injector struct {
 // first; New is lenient so tests can construct edge cases directly.
 func New(cfg Config) *Injector { return &Injector{cfg: cfg} }
 
-// Config returns the injector's configuration.
-func (inj *Injector) Config() Config { return inj.cfg }
-
-// Calls returns how many calls have been intercepted so far.
-func (inj *Injector) Calls() uint64 { return inj.calls.Load() }
-
 // OnKill registers the handler a Kill decision invokes — in a worker
 // daemon, the function that abandons every lease, stops heartbeating and
 // cancels the run context, so the process drops off the fleet exactly as a
@@ -286,17 +280,6 @@ func (inj *Injector) Wrap(next simcache.Runner) simcache.Runner {
 		next = simcache.Direct{}
 	}
 	return &runner{inj: inj, next: next}
-}
-
-// Engine wraps a raw engine function: faults are injected beneath the
-// cache, which exercises the cache's own containment (single-flight
-// cleanup on panic, errors never cached).
-func (inj *Injector) Engine(fn simcache.Engine) simcache.Engine {
-	return func(d sim.Design, cfg sim.Config) (*sim.Result, error) {
-		return inj.intercept(context.Background(), func() (*sim.Result, error) {
-			return fn(d, cfg)
-		})
-	}
 }
 
 // FlagConfig registers the -fault-* flag set on fs and returns a function

@@ -43,7 +43,11 @@ func BenchmarkQRLeastSquares64x15(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LeastSquares(a, rhs); err != nil {
+		f, err := FactorQR(a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := f.SolveLS(rhs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -146,7 +146,11 @@ func TestQRLeastSquaresExactFit(t *testing.T) {
 		a.Set(i, 1, x)
 		b[i] = 2 + 3*x
 	}
-	c, err := LeastSquares(a, b)
+	f, err := FactorQR(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := f.SolveLS(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +173,11 @@ func TestQRNormalEquationsProperty(t *testing.T) {
 			}
 			b[i] = rng.NormFloat64()
 		}
-		x, err := LeastSquares(a, b)
+		f, err := FactorQR(a)
+		if err != nil {
+			return true
+		}
+		x, err := f.SolveLS(b)
 		if err != nil {
 			return true // rank-deficient random draw: acceptable to refuse
 		}
@@ -235,62 +243,6 @@ func TestQRXtXInverse(t *testing.T) {
 	}
 }
 
-func TestCholeskyRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randomSPD(rng, 6)
-	c, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := c.L()
-	if l.Mul(l.T()).SubM(a).MaxAbs() > 1e-9 {
-		t.Fatal("L·Lᵀ != A")
-	}
-}
-
-func TestCholeskySolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := randomSPD(rng, 5)
-	want := []float64{1, -2, 3, 0.5, -1}
-	b := a.MulVec(want)
-	c, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := c.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if !almostEq(x[i], want[i], 1e-8) {
-			t.Fatalf("x = %v, want %v", x, want)
-		}
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := NewMatrixFrom(2, 2, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
-	if _, err := FactorCholesky(a); err != ErrSingular {
-		t.Fatalf("err = %v, want ErrSingular", err)
-	}
-}
-
-func TestCholeskyLogDetMatchesLU(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	a := randomSPD(rng, 4)
-	c, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(c.LogDet(), math.Log(f.Det()), 1e-9) {
-		t.Fatalf("logdet %v vs log(det) %v", c.LogDet(), math.Log(f.Det()))
-	}
-}
-
 func TestEigenSymKnown(t *testing.T) {
 	a := NewMatrixFrom(2, 2, []float64{2, 1, 1, 2}) // eigenvalues 1, 3
 	vals, vecs, err := EigenSym(a, 0)
@@ -352,33 +304,5 @@ func TestEigenSymRejectsAsymmetric(t *testing.T) {
 	a := NewMatrixFrom(2, 2, []float64{1, 2, 3, 4})
 	if _, _, err := EigenSym(a, 0); err != ErrShape {
 		t.Fatalf("err = %v, want ErrShape", err)
-	}
-}
-
-func TestSpectralRadius(t *testing.T) {
-	a := NewMatrixFrom(2, 2, []float64{0.5, 0, 0, -0.9})
-	r := SpectralRadius(a, 500)
-	if !almostEq(r, 0.9, 1e-6) {
-		t.Fatalf("spectral radius = %v, want 0.9", r)
-	}
-}
-
-func TestConditionEstimate(t *testing.T) {
-	// Identity has condition number 1; the estimate must be ≥ ~1 and small.
-	c, err := ConditionEstimate(Identity(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c < 0.5 || c > 10 {
-		t.Fatalf("cond(I) estimate = %v, want near 1", c)
-	}
-	// Singular matrix reports +Inf.
-	s := NewMatrixFrom(2, 2, []float64{1, 1, 1, 1})
-	c, err = ConditionEstimate(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(c, 1) {
-		t.Fatalf("cond(singular) = %v, want +Inf", c)
 	}
 }

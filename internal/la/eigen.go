@@ -100,39 +100,3 @@ func rotate(w, v *Matrix, p, q int, c, s float64) {
 		v.Set(i, q, s*vip+c*viq)
 	}
 }
-
-// SpectralRadius returns the largest absolute eigenvalue magnitude of a
-// general square matrix, estimated by power iteration with a fixed seed
-// vector. It is used to check stability of the discretized linearized
-// state-space update matrix.
-func SpectralRadius(a *Matrix, iters int) float64 {
-	n := a.rows
-	if n == 0 {
-		return 0
-	}
-	if iters <= 0 {
-		iters = 200
-	}
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 1 / math.Sqrt(float64(n))
-	}
-	var lambda float64
-	for k := 0; k < iters; k++ {
-		y := a.MulVec(x)
-		var nrm float64
-		for _, v := range y {
-			nrm += v * v
-		}
-		nrm = math.Sqrt(nrm)
-		if nrm == 0 {
-			return 0
-		}
-		for i := range y {
-			y[i] /= nrm
-		}
-		lambda = nrm
-		x = y
-	}
-	return lambda
-}

@@ -7,14 +7,6 @@ package la
 // operations in the same order as its allocating counterpart, so swapping
 // one in never changes a result bit.
 
-// CopyInto copies a into dst. Shapes must match.
-func CopyInto(dst, a *Matrix) {
-	if dst.rows != a.rows || dst.cols != a.cols {
-		panic(ErrShape)
-	}
-	copy(dst.data, a.data)
-}
-
 // MulInto computes the product a·b into dst. dst must not alias either
 // operand; shapes must be compatible.
 func MulInto(dst, a, b *Matrix) {

@@ -198,47 +198,6 @@ func Inverse(a *Matrix) (*Matrix, error) {
 	return f.Inverse()
 }
 
-// ConditionEstimate returns a cheap lower-bound estimate of the 1-norm
-// condition number of a, using one factorization and a few solves. It is
-// intended for diagnostics (flagging ill-conditioned design matrices), not
-// for rigorous analysis.
-func ConditionEstimate(a *Matrix) (float64, error) {
-	if a.rows != a.cols {
-		return 0, ErrShape
-	}
-	f, err := FactorLU(a)
-	if err != nil {
-		return math.Inf(1), nil // singular: infinite condition number
-	}
-	norm1 := matrixNorm1(a)
-	// Estimate ||A⁻¹||₁ by solving against the all-ones vector and a
-	// one-hot probe at the column with the largest solution component.
-	n := a.rows
-	ones := make([]float64, n)
-	for i := range ones {
-		ones[i] = 1.0 / float64(n)
-	}
-	x, err := f.Solve(ones)
-	if err != nil {
-		return math.Inf(1), nil
-	}
-	best := vecNorm1(x)
-	kmax := 0
-	for i, v := range x {
-		if math.Abs(v) > math.Abs(x[kmax]) {
-			kmax = i
-		}
-	}
-	probe := make([]float64, n)
-	probe[kmax] = 1
-	if x2, err2 := f.Solve(probe); err2 == nil {
-		if v := vecNorm1(x2); v > best {
-			best = v
-		}
-	}
-	return norm1 * best, nil
-}
-
 func matrixNorm1(a *Matrix) float64 {
 	var mx float64
 	for j := 0; j < a.cols; j++ {
@@ -251,12 +210,4 @@ func matrixNorm1(a *Matrix) float64 {
 		}
 	}
 	return mx
-}
-
-func vecNorm1(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
 }

@@ -5,7 +5,7 @@
 //
 // Matrices are dense, row-major and backed by a single []float64. The
 // package is deliberately free of external dependencies; every factorization
-// (LU, QR, Cholesky, symmetric eigendecomposition) is implemented here.
+// (LU, QR, symmetric eigendecomposition) is implemented here.
 package la
 
 import (
@@ -91,14 +91,6 @@ func (m *Matrix) check(i, j int) {
 // (the simulation inner loop bakes update matrices from it); everyone else
 // should stay on the bounds-checked At/Set.
 func (m *Matrix) Data() []float64 { return m.data }
-
-// RowView returns row i of the matrix without copying. The returned slice
-// aliases the matrix and is capped at the row boundary, so an append never
-// bleeds into the next row. Row index errors surface as slice-bounds
-// panics rather than the formatted check message.
-func (m *Matrix) RowView(i int) []float64 {
-	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
-}
 
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {

@@ -75,15 +75,6 @@ func (f *QR) FullRank() bool {
 	return true
 }
 
-// RDiag returns a copy of the diagonal of R. The ratio
-// max|R_ii|/min|R_ii| is a cheap rank/conditioning diagnostic for design
-// matrices.
-func (f *QR) RDiag() []float64 {
-	out := make([]float64, len(f.rd))
-	copy(out, f.rd)
-	return out
-}
-
 // SolveLS returns the least-squares solution x minimizing ‖A·x − b‖₂.
 func (f *QR) SolveLS(b []float64) ([]float64, error) {
 	if len(b) != f.m {
@@ -153,13 +144,4 @@ func (f *QR) XtXInverse() (*Matrix, error) {
 		return nil, err
 	}
 	return ri.Mul(ri.T()), nil
-}
-
-// LeastSquares solves min‖a·x − b‖₂ directly (convenience wrapper).
-func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	f, err := FactorQR(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveLS(b)
 }

@@ -75,9 +75,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// SleepPower returns the rail power (W) drawn while sleeping.
-func (c Config) SleepPower() float64 { return c.SleepI * c.VRail }
-
 // CyclePowerBudget returns the average rail power (W) of one
 // measure+transmit duty cycle at the base period — the first-order energy
 // budget used for sanity checks and the behavioural fast path.

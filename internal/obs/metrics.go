@@ -226,14 +226,6 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: bs, buckets: make([]uint64, len(bs)+1)}
 }
 
-// Histogram registers and returns an unlabeled histogram.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	f := r.register(name, help, "histogram", "", nil)
-	h := newHistogram(bounds)
-	f.add("", h)
-	return h
-}
-
 // HistogramVec is a histogram family keyed by one label.
 type HistogramVec struct {
 	f      *family

@@ -1,8 +1,8 @@
 // Package opt provides the optimizers used on both sides of the paper's
 // comparison:
 //
-//   - On the response surface (cheap evaluations): exhaustive grid search
-//     and bounded Nelder–Mead — "practically instant" once the RSM exists.
+//   - On the response surface (cheap evaluations): bounded Nelder–Mead —
+//     "practically instant" once the RSM exists.
 //   - On the full simulator (expensive evaluations): simulated annealing
 //     and a genetic algorithm — the "classical multi-variable optimization
 //     methods … difficult to use, due to long CPU times" that the DoE flow
@@ -83,30 +83,6 @@ func (b Bounds) Random(rng *rand.Rand) []float64 {
 	return x
 }
 
-// Quantized wraps an objective so every evaluation snaps its point to a
-// lattice with `step` fraction-of-range resolution per dimension (e.g.
-// 0.05 → 21 levels across each range). Stochastic searchers like SA and GA
-// then revisit exact points instead of infinitesimally-near neighbours; a
-// memoizing simulation layer (internal/simcache) then answers the revisits
-// for free, at the cost of bounded quantization error in the optimum.
-func Quantized(f Objective, b Bounds, step float64) (Objective, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	if !(step > 0 && step <= 1) {
-		return nil, fmt.Errorf("opt: quantization step %g must be in (0, 1]", step)
-	}
-	return func(x []float64) float64 {
-		q := make([]float64, len(x))
-		for i := range x {
-			w := (b.Hi[i] - b.Lo[i]) * step
-			q[i] = b.Lo[i] + math.Round((x[i]-b.Lo[i])/w)*w
-		}
-		b.Clamp(q)
-		return f(q)
-	}, nil
-}
-
 // counter wraps an objective with an evaluation counter.
 type counter struct {
 	f Objective
@@ -116,45 +92,6 @@ type counter struct {
 func (c *counter) eval(x []float64) float64 {
 	c.n++
 	return c.f(x)
-}
-
-// GridSearch evaluates the objective on a regular grid with pointsPerDim
-// levels per dimension and returns the best point. Total cost is
-// pointsPerDim^k evaluations — the brute-force sweep that is only viable
-// on a fitted surface.
-func GridSearch(f Objective, b Bounds, pointsPerDim int) (*Result, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	if pointsPerDim < 2 {
-		return nil, fmt.Errorf("opt: need ≥2 points per dimension, got %d", pointsPerDim)
-	}
-	k := b.K()
-	total := 1
-	for i := 0; i < k; i++ {
-		total *= pointsPerDim
-		if total > 50_000_000 {
-			return nil, fmt.Errorf("opt: grid %d^%d too large", pointsPerDim, k)
-		}
-	}
-	c := &counter{f: f}
-	best := Result{F: math.Inf(1)}
-	x := make([]float64, k)
-	for idx := 0; idx < total; idx++ {
-		rem := idx
-		for j := 0; j < k; j++ {
-			level := rem % pointsPerDim
-			rem /= pointsPerDim
-			x[j] = b.Lo[j] + float64(level)/float64(pointsPerDim-1)*(b.Hi[j]-b.Lo[j])
-		}
-		if v := c.eval(x); v < best.F {
-			best.F = v
-			best.X = append([]float64(nil), x...)
-		}
-	}
-	best.Evals = c.n
-	best.Iters = total
-	return &best, nil
 }
 
 // NelderMeadConfig tunes the simplex search.

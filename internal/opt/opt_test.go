@@ -54,31 +54,6 @@ func TestBounds(t *testing.T) {
 	}
 }
 
-func TestGridSearchFindsMinimum(t *testing.T) {
-	res, err := GridSearch(sphere([]float64{0.5, -0.5}), NewBounds(2), 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Evals != 441 {
-		t.Fatalf("evals = %d, want 441", res.Evals)
-	}
-	if math.Abs(res.X[0]-0.5) > 0.051 || math.Abs(res.X[1]+0.5) > 0.051 {
-		t.Fatalf("grid optimum %v, want ≈(0.5, −0.5)", res.X)
-	}
-}
-
-func TestGridSearchValidation(t *testing.T) {
-	if _, err := GridSearch(rosenbrock, NewBounds(2), 1); err == nil {
-		t.Fatal("1 point per dim must error")
-	}
-	if _, err := GridSearch(rosenbrock, NewBounds(12), 100); err == nil {
-		t.Fatal("oversized grid must error")
-	}
-	if _, err := GridSearch(rosenbrock, Bounds{}, 5); err == nil {
-		t.Fatal("empty bounds must error")
-	}
-}
-
 func TestNelderMeadSphere(t *testing.T) {
 	res, err := NelderMead(sphere([]float64{0.3, -0.2}), NewBounds(2), []float64{0, 0}, NelderMeadConfig{})
 	if err != nil {
@@ -226,44 +201,5 @@ func TestMaximize(t *testing.T) {
 	}
 	if math.Abs(res.X[0]) > 1e-4 || math.Abs(res.X[1]) > 1e-4 {
 		t.Fatalf("maximized at %v, want origin", res.X)
-	}
-}
-
-func TestQuantized(t *testing.T) {
-	b := NewBounds(2)
-	var got [][]float64
-	f := func(x []float64) float64 {
-		got = append(got, append([]float64(nil), x...))
-		return x[0] + x[1]
-	}
-	q, err := Quantized(f, b, 0.25) // lattice −1, −0.5, 0, 0.5, 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	q([]float64{0.24, -0.26})
-	q([]float64{0.26, 0.9})
-	q([]float64{5, -5}) // clamped to the box
-	want := [][]float64{{0, -0.5}, {0.5, 1}, {1, -1}}
-	for i, w := range want {
-		for j := range w {
-			if got[i][j] != w[j] {
-				t.Fatalf("call %d: snapped to %v, want %v", i, got[i], w)
-			}
-		}
-	}
-	// Nearby proposals collapse onto the same lattice point — the property
-	// that makes simulator memoization effective under SA/GA.
-	if q([]float64{0.01, 0.02}) != q([]float64{-0.02, -0.01}) {
-		t.Fatal("neighbours must share a lattice point")
-	}
-	// Errors.
-	if _, err := Quantized(f, Bounds{}, 0.1); err == nil {
-		t.Fatal("bad bounds must be rejected")
-	}
-	if _, err := Quantized(f, b, 0); err == nil {
-		t.Fatal("zero step must be rejected")
-	}
-	if _, err := Quantized(f, b, 1.5); err == nil {
-		t.Fatal("step > 1 must be rejected")
 	}
 }

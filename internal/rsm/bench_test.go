@@ -68,14 +68,3 @@ func BenchmarkCanonical4(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkStepwise4(b *testing.B) {
-	runs, y := benchData(b, 4)
-	m := FullQuadratic(4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Stepwise(m, runs, y, 0.05); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

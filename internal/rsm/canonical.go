@@ -2,7 +2,6 @@ package rsm
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/la"
 )
@@ -131,43 +130,4 @@ func (f *Fit) Canonical() (*Canonical, error) {
 		Kind:       kind,
 		InRegion:   in,
 	}, nil
-}
-
-// SteepestAscentPath returns nSteps points along the steepest-ascent
-// direction of the fitted surface from the origin (design centre), with
-// the given coded step length — the classical RSM "path of steepest
-// ascent" used to walk toward better operating regions.
-func (f *Fit) SteepestAscentPath(step float64, nSteps int) ([][]float64, error) {
-	if step <= 0 || nSteps < 1 {
-		return nil, fmt.Errorf("rsm: bad path parameters step=%g n=%d", step, nSteps)
-	}
-	k := f.Model.K
-	grad := make([]float64, k)
-	for i, t := range f.Model.Terms {
-		if t.Degree() != 1 {
-			continue
-		}
-		for j, p := range t.Powers {
-			if p == 1 {
-				grad[j] = f.Coef[i]
-			}
-		}
-	}
-	norm := 0.0
-	for _, g := range grad {
-		norm += g * g
-	}
-	norm = math.Sqrt(norm)
-	if norm == 0 {
-		return nil, fmt.Errorf("rsm: zero gradient at the design centre")
-	}
-	path := make([][]float64, nSteps)
-	for s := 1; s <= nSteps; s++ {
-		pt := make([]float64, k)
-		for j := range pt {
-			pt[j] = float64(s) * step * grad[j] / norm
-		}
-		path[s-1] = pt
-	}
-	return path, nil
 }

@@ -153,15 +153,6 @@ func (f *Fit) Predict(x []float64) float64 {
 	return dot(f.Model.Row(x), f.Coef)
 }
 
-// PredictBatch evaluates the surface at many points.
-func (f *Fit) PredictBatch(xs [][]float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = f.Predict(x)
-	}
-	return out
-}
-
 // PredictCI returns the prediction and its confidence interval for the
 // mean response at x at the given confidence level (e.g. 0.95).
 func (f *Fit) PredictCI(x []float64, level float64) (pred, lo, hi float64) {
@@ -236,64 +227,4 @@ func (f *Fit) ANOVA() []ANOVARow {
 	rows = append(rows, reg, res,
 		ANOVARow{Source: "total", DoF: f.N - 1, SS: f.TotalSS})
 	return rows
-}
-
-// TermANOVA returns a per-term breakdown: each non-intercept term's
-// single-degree-of-freedom F test (squared t test) and p-value, sorted as
-// in the model.
-func (f *Fit) TermANOVA() []ANOVARow {
-	ts := f.TStats()
-	ps := f.PValues()
-	dofRes := f.N - f.Model.P()
-	rows := make([]ANOVARow, 0, len(f.Coef))
-	for i, t := range f.Model.Terms {
-		if t.Degree() == 0 {
-			continue
-		}
-		fstat := ts[i] * ts[i]
-		rows = append(rows, ANOVARow{
-			Source: t.Label(nil),
-			DoF:    1,
-			SS:     fstat * f.Sigma2, // single-dof SS = F·MSE
-			MS:     fstat * f.Sigma2,
-			F:      fstat,
-			P:      ps[i],
-		})
-	}
-	_ = dofRes
-	return rows
-}
-
-// Stepwise performs backward elimination starting from model m: repeatedly
-// drop the least significant term (largest p-value above alphaOut), refit,
-// and stop when every remaining term is significant or only the intercept
-// remains. It returns the reduced fit.
-func Stepwise(m Model, runs [][]float64, y []float64, alphaOut float64) (*Fit, error) {
-	if alphaOut <= 0 || alphaOut >= 1 {
-		return nil, fmt.Errorf("rsm: alphaOut %g must be in (0,1)", alphaOut)
-	}
-	cur := m
-	for {
-		fit, err := FitModel(cur, runs, y)
-		if err != nil {
-			return nil, err
-		}
-		ps := fit.PValues()
-		worst, worstP := -1, alphaOut
-		for i, t := range cur.Terms {
-			if t.Degree() == 0 {
-				continue // never drop the intercept
-			}
-			if math.IsNaN(ps[i]) {
-				continue
-			}
-			if ps[i] > worstP {
-				worst, worstP = i, ps[i]
-			}
-		}
-		if worst < 0 || cur.P() <= 1 {
-			return fit, nil
-		}
-		cur = cur.Drop(worst)
-	}
 }

@@ -10,7 +10,8 @@ import (
 // definite from the first appended row; with coded-unit model rows (entries
 // O(1)) and any identifiable design it perturbs coefficients by ~1e-12
 // relative — far inside the 1e-9 equivalence bound the adaptive loop
-// requires, and irrelevant to Finalize, which refits from scratch.
+// requires, and irrelevant to the final model, which FitModel refits from
+// scratch.
 const fitterRidge = 1e-12
 
 // Fitter is an incrementally updatable least-squares fit: the sequential
@@ -22,9 +23,10 @@ const fitterRidge = 1e-12
 //
 // Snapshot returns the current incremental fit with the diagnostics the
 // adaptive stopping rule consumes (R², adjusted R², PRESS, lack-of-fit
-// inputs). Finalize hands the accumulated rows to FitModel, so the final
-// model of an adaptive build is bit-identical to a batch fit of the same
-// data — the equivalence the fixed-strategy regression tests pin down.
+// inputs). The final model of an adaptive build does not come from the
+// Fitter: the build refits its accumulated rows with FitModel, so that model
+// is bit-identical to a batch fit of the same data — the equivalence the
+// fixed-strategy regression tests pin down.
 type Fitter struct {
 	model Model
 	p     int
@@ -33,7 +35,7 @@ type Fitter struct {
 	xty []float64
 
 	rows [][]float64 // expanded model rows, retained for diagnostics
-	runs [][]float64 // coded runs, retained for Finalize and lack-of-fit
+	runs [][]float64 // coded runs, retained for lack-of-fit
 	ys   []float64
 }
 
@@ -51,9 +53,6 @@ func NewFitter(m Model) (*Fitter, error) {
 	}
 	return f, nil
 }
-
-// Model returns the model being fitted.
-func (f *Fitter) Model() Model { return f.model }
 
 // N returns the number of appended observations.
 func (f *Fitter) N() int { return len(f.ys) }
@@ -93,19 +92,6 @@ func (f *Fitter) Append(run []float64, y float64) error {
 	f.rows = append(f.rows, row)
 	f.runs = append(f.runs, append([]float64(nil), run...))
 	f.ys = append(f.ys, y)
-	return nil
-}
-
-// AppendRows appends a batch of observations.
-func (f *Fitter) AppendRows(runs [][]float64, ys []float64) error {
-	if len(runs) != len(ys) {
-		return fmt.Errorf("rsm: %d runs but %d responses", len(runs), len(ys))
-	}
-	for i := range runs {
-		if err := f.Append(runs[i], ys[i]); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -156,7 +142,7 @@ func (f *Fitter) leverage(row []float64) float64 {
 // the sequential stopping rule needs: coefficients, residuals, R²,
 // adjusted R², RMSE, leverage, PRESS and R²-pred, plus the sums of squares
 // LackOfFitTest consumes. The inference-only fields (CoefSE, confidence
-// intervals) are left zero — use Finalize or FitModel when those matter.
+// intervals) are left zero — use FitModel when those matter.
 // Cost is O(n·p²) dominated by the per-row leverage solves; the coefficient
 // refit itself is O(p²).
 func (f *Fitter) Snapshot() (*Fit, error) {
@@ -214,13 +200,4 @@ func (f *Fitter) Snapshot() (*Fit, error) {
 		out.R2Pred = 1
 	}
 	return out, nil
-}
-
-// Finalize refits the accumulated data with the batch FitModel path and
-// returns that fit. Because it hands FitModel the very rows and responses
-// that were appended, the result is bit-identical to a from-scratch batch
-// fit of the same data — the adaptive build's final model carries no trace
-// of the incremental updates.
-func (f *Fitter) Finalize() (*Fit, error) {
-	return FitModel(f.model, f.runs, f.ys)
 }

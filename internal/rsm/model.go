@@ -2,8 +2,8 @@
 // the paper's design flow: polynomial models over coded factors, fitted by
 // QR least squares to the simulated responses at the DoE design points,
 // with the standard diagnostics (ANOVA, R², adjusted R², PRESS/R²-pred,
-// coefficient t-tests), backward-elimination model reduction, and canonical
-// analysis of fitted quadratics.
+// coefficient t-tests, lack of fit, outlier runs) and canonical analysis
+// of fitted quadratics.
 //
 // Once fitted, evaluating a surface costs a handful of multiplications —
 // this is what makes design-space exploration "practically instant"
@@ -185,15 +185,4 @@ func FullQuadratic(k int) Model {
 		return false
 	})
 	return m
-}
-
-// Drop returns a copy of the model without term index i.
-func (m Model) Drop(i int) Model {
-	terms := make([]Term, 0, len(m.Terms)-1)
-	for j, t := range m.Terms {
-		if j != i {
-			terms = append(terms, t)
-		}
-	}
-	return Model{K: m.K, Terms: terms}
 }

@@ -68,17 +68,6 @@ func TestModelValidateCatchesErrors(t *testing.T) {
 	}
 }
 
-func TestModelDrop(t *testing.T) {
-	m := Linear(2) // 1, x1, x2
-	d := m.Drop(1)
-	if d.P() != 2 {
-		t.Fatalf("dropped model has %d terms", d.P())
-	}
-	if m.P() != 3 {
-		t.Fatal("Drop must not mutate the original")
-	}
-}
-
 // trueQuad is a known quadratic used as ground truth in fit tests:
 // y = 3 + 2x1 − x2 + 0.5x1² + 1.5x2² − 0.8x1x2.
 func trueQuad(x []float64) float64 {
@@ -221,39 +210,6 @@ func TestANOVATable(t *testing.T) {
 	if reg.F <= 0 || reg.P > 0.001 {
 		t.Fatalf("strong regression must be significant: F=%v p=%v", reg.F, reg.P)
 	}
-	term := fit.TermANOVA()
-	if len(term) != fit.Model.P()-1 {
-		t.Fatalf("term rows = %d, want %d", len(term), fit.Model.P()-1)
-	}
-}
-
-func TestStepwiseRemovesInertTerms(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	d, err := doe.CentralComposite(3, doe.CCC, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// True model uses x1, x3 and x1² only.
-	y := make([]float64, d.N())
-	for i, r := range d.Runs {
-		y[i] = 2 + 3*r[0] - 2*r[2] + 1.5*r[0]*r[0] + 0.02*rng.NormFloat64()
-	}
-	fit, err := Stepwise(FullQuadratic(3), d.Runs, y, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fit.Model.P() >= FullQuadratic(3).P() {
-		t.Fatal("stepwise removed nothing")
-	}
-	// The retained model must keep predicting well.
-	x := []float64{0.5, -0.5, 0.2}
-	want := 2 + 3*x[0] - 2*x[2] + 1.5*x[0]*x[0]
-	if got := fit.Predict(x); math.Abs(got-want) > 0.1 {
-		t.Fatalf("reduced model predicts %v, want %v", got, want)
-	}
-	if _, err := Stepwise(FullQuadratic(2), d.Runs, y, 1.5); err == nil {
-		t.Fatal("bad alpha must error")
-	}
 }
 
 func TestPredictCI(t *testing.T) {
@@ -361,41 +317,6 @@ func TestCanonicalRequiresQuadratic(t *testing.T) {
 	}
 	if _, err := fit.Canonical(); err == nil {
 		t.Fatal("canonical analysis of a linear model must error")
-	}
-}
-
-func TestSteepestAscentPath(t *testing.T) {
-	d, _ := doe.FullFactorial(2, 3)
-	y := make([]float64, d.N())
-	for i, r := range d.Runs {
-		y[i] = 1 + 3*r[0] + 4*r[1]
-	}
-	fit, err := FitModel(Linear(2), d.Runs, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, err := fit.SteepestAscentPath(0.5, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(path) != 4 {
-		t.Fatalf("path length %d", len(path))
-	}
-	// Direction must be (3,4)/5.
-	if math.Abs(path[0][0]-0.3) > 1e-9 || math.Abs(path[0][1]-0.4) > 1e-9 {
-		t.Fatalf("first step = %v, want (0.3, 0.4)", path[0])
-	}
-	// Response must increase along the path.
-	prev := fit.Predict([]float64{0, 0})
-	for _, pt := range path {
-		cur := fit.Predict(pt)
-		if cur <= prev {
-			t.Fatal("response must rise along steepest ascent")
-		}
-		prev = cur
-	}
-	if _, err := fit.SteepestAscentPath(0, 3); err == nil {
-		t.Fatal("zero step must error")
 	}
 }
 

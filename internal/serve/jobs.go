@@ -376,12 +376,6 @@ func (m *JobManager) Get(id string) (JobView, bool) {
 	return j.view(), true
 }
 
-// List returns snapshots of every job in submission order.
-func (m *JobManager) List() []JobView {
-	out, _ := m.ListPage("", "", 0)
-	return out
-}
-
 // ListPage returns job snapshots in submission order, optionally filtered
 // by state, starting after the given job ID (exclusive cursor; empty =
 // from the beginning) and bounded by limit (<=0 = unbounded). more reports
@@ -511,35 +505,12 @@ func (m *JobManager) run(j *Job) {
 
 	var ds *core.Dataset
 	if j.Req.Pool == PoolCluster {
-		// Shard the design points across the worker fleet. The trace ID
-		// rides on every lease, so worker-side run logs correlate with the
-		// submitting request.
-		ds, err = m.cluster.RunDesign(ctx, cluster.JobSpec{
-			ID:        j.ID,
-			Trace:     j.Trace,
-			Excite:    j.Req.Excite,
-			Horizon:   j.Req.Horizon,
-			Responses: p.Responses,
-		}, design)
+		ds, err = m.runOnCluster(ctx, j, p, j.ID, design)
 	} else {
 		ds, err = p.RunDesign(ctx, design, j.Req.Workers)
 	}
 	if ds != nil {
-		// Even a failed build carries its fault-recovery and batch stats.
-		m.mu.Lock()
-		j.Retries = ds.Retries
-		j.Panics = ds.PanicsRecovered
-		j.SimTime = ds.SimTime
-		j.Batch = ds.Batch
-		m.mu.Unlock()
-		if ds.Batch != nil {
-			if m.batchLanes != nil {
-				m.batchLanes.Add(uint64(ds.Batch.Lanes))
-			}
-			if m.batchAmort != nil {
-				m.batchAmort.Add(uint64(ds.Batch.AmortizedRebuilds))
-			}
-		}
+		m.recordDataset(j, ds)
 	}
 	if err != nil {
 		state, code, werr := m.classify(ctx, j, err)
@@ -591,37 +562,18 @@ func (m *JobManager) runAdaptive(ctx context.Context, j *Job, p *core.Problem) {
 	cfg := core.AdaptiveConfig{Seed: j.Req.Seed, Workers: j.Req.Workers}
 	if j.Req.Pool == PoolCluster {
 		cfg.RunDesign = func(ctx context.Context, d *doe.Design) (*core.Dataset, error) {
-			return m.cluster.RunDesign(ctx, cluster.JobSpec{
-				ID:        j.ID + "-" + d.Name,
-				Trace:     j.Trace,
-				Excite:    j.Req.Excite,
-				Horizon:   j.Req.Horizon,
-				Responses: p.Responses,
-			}, d)
+			return m.runOnCluster(ctx, j, p, j.ID+"-"+d.Name, d)
 		}
 	}
 	res, err := p.RunAdaptive(ctx, cfg)
 	if res != nil {
-		// Even a failed build carries its fault-recovery, batch and
-		// per-round stats.
-		ds := res.Dataset
+		// Even a failed build carries its per-round stats.
 		m.mu.Lock()
 		j.Adaptive = res.Stats
 		j.Runs = res.Stats.PointsSimulated
-		if ds != nil {
-			j.Retries = ds.Retries
-			j.Panics = ds.PanicsRecovered
-			j.SimTime = ds.SimTime
-			j.Batch = ds.Batch
-		}
 		m.mu.Unlock()
-		if ds != nil && ds.Batch != nil {
-			if m.batchLanes != nil {
-				m.batchLanes.Add(uint64(ds.Batch.Lanes))
-			}
-			if m.batchAmort != nil {
-				m.batchAmort.Add(uint64(ds.Batch.AmortizedRebuilds))
-			}
+		if res.Dataset != nil {
+			m.recordDataset(j, res.Dataset)
 		}
 	}
 	if err != nil {
@@ -649,6 +601,39 @@ func (m *JobManager) runAdaptive(ctx context.Context, j *Job, p *core.Problem) {
 		"rounds", len(res.Stats.Rounds), "stop", res.Stats.StopReason,
 		"dur_ms", float64(dur.Microseconds())/1e3,
 		"sim_ms", float64(res.Dataset.SimTime.Microseconds())/1e3)
+}
+
+// runOnCluster shards the design points across the worker fleet as the
+// cluster job id. The trace ID rides on every lease, so worker-side run
+// logs correlate with the submitting request.
+func (m *JobManager) runOnCluster(ctx context.Context, j *Job, p *core.Problem, id string, d *doe.Design) (*core.Dataset, error) {
+	return m.cluster.RunDesign(ctx, cluster.JobSpec{
+		ID:        id,
+		Trace:     j.Trace,
+		Excite:    j.Req.Excite,
+		Horizon:   j.Req.Horizon,
+		Responses: p.Responses,
+	}, d)
+}
+
+// recordDataset copies a build's fault-recovery and batch stats onto the
+// job and feeds the batch counters. A failed build carries them too.
+func (m *JobManager) recordDataset(j *Job, ds *core.Dataset) {
+	m.mu.Lock()
+	j.Retries = ds.Retries
+	j.Panics = ds.PanicsRecovered
+	j.SimTime = ds.SimTime
+	j.Batch = ds.Batch
+	m.mu.Unlock()
+	if ds.Batch == nil {
+		return
+	}
+	if m.batchLanes != nil {
+		m.batchLanes.Add(uint64(ds.Batch.Lanes))
+	}
+	if m.batchAmort != nil {
+		m.batchAmort.Add(uint64(ds.Batch.AmortizedRebuilds))
+	}
 }
 
 // countBuildPoints feeds the fleet-wide build point-accounting counters.

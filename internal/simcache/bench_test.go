@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/opt"
 	"repro/internal/rsm"
 	"repro/internal/simcache"
 )
@@ -105,61 +104,5 @@ func BenchmarkSimCacheRepeatedValidate(b *testing.B) {
 	b.ReportMetric(ratio, "speedup_x")
 	if ratio < 5 {
 		b.Errorf("cache speedup %.1f× on the repeated-point workload, want ≥ 5× (direct %v, cached %v)", ratio, direct, cached)
-	}
-}
-
-// BenchmarkSimCacheOptimizerBaseline times a classical-baseline run — a
-// genetic algorithm calling the simulator directly — with the objective
-// snapped to a coarse lattice so revisited designs become cache hits. The
-// cached optimizer must land on exactly the same optimum.
-func BenchmarkSimCacheOptimizerBaseline(b *testing.B) {
-	p := core.StandardProblem(0.6, 1)
-	bounds := opt.NewBounds(len(p.Factors))
-	var objErr error
-	objective := func(x []float64) float64 {
-		resp, err := p.ResponsesAt(context.Background(), x)
-		if err != nil {
-			objErr = err
-			return 0
-		}
-		return -resp[core.RespPackets]
-	}
-	quant, err := opt.Quantized(objective, bounds, 0.05)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B) float64 {
-		r, err := opt.GeneticAlgorithm(quant, bounds, opt.GAConfig{Pop: 10, Gens: 4, Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if objErr != nil {
-			b.Fatal(objErr)
-		}
-		return r.F
-	}
-
-	var fDirect, fCached float64
-	b.Run("direct", func(b *testing.B) {
-		p.Runner = simcache.Direct{}
-		for i := 0; i < b.N; i++ {
-			fDirect = run(b)
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		cache := simcache.New(simcache.Options{Capacity: 4096})
-		p.Runner = cache
-		fCached = run(b) // warm: the seeded GA revisits exactly these points
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fCached = run(b)
-		}
-		b.StopTimer()
-		if st := cache.Stats(); st.Hits == 0 {
-			b.Fatal("optimizer reruns never hit the cache")
-		}
-	})
-	if fDirect != fCached {
-		b.Fatalf("optimizer diverged under caching: %v vs %v", fDirect, fCached)
 	}
 }

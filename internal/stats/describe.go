@@ -17,41 +17,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance (denominator n−1).
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n-1)
-}
-
-// StdDev returns the unbiased sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// MinMax returns the smallest and largest values in xs.
-func MinMax(xs []float64) (mn, mx float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	mn, mx = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < mn {
-			mn = x
-		}
-		if x > mx {
-			mx = x
-		}
-	}
-	return mn, mx
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics (type-7, the R default).
 func Quantile(xs []float64, q float64) float64 {
@@ -73,9 +38,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	return s[lo] + (h-float64(lo))*(s[hi]-s[lo])
 }
-
-// Median returns the 0.5-quantile.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // RMS returns the root-mean-square of xs.
 func RMS(xs []float64) float64 {
@@ -100,38 +62,4 @@ func RMSE(a, b []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(a)))
-}
-
-// MaxAbsErr returns the largest absolute difference between two series.
-func MaxAbsErr(a, b []float64) float64 {
-	if len(a) != len(b) {
-		return math.NaN()
-	}
-	var mx float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > mx {
-			mx = d
-		}
-	}
-	return mx
-}
-
-// Pearson returns the Pearson correlation coefficient of two equal-length
-// series (NaN if either series is constant).
-func Pearson(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) < 2 {
-		return math.NaN()
-	}
-	ma, mb := Mean(a), Mean(b)
-	var sab, saa, sbb float64
-	for i := range a {
-		da, db := a[i]-ma, b[i]-mb
-		sab += da * db
-		saa += da * da
-		sbb += db * db
-	}
-	if saa == 0 || sbb == 0 {
-		return math.NaN()
-	}
-	return sab / math.Sqrt(saa*sbb)
 }

@@ -1,6 +1,6 @@
 // Package stats implements the probability distributions and descriptive
 // statistics the RSM machinery needs: normal, Student-t and F distributions
-// (densities, CDFs and quantiles) for ANOVA significance tests and
+// (CDFs and quantiles) for ANOVA significance tests and
 // confidence/prediction intervals, plus summary helpers.
 //
 // The special functions (log-gamma, regularized incomplete beta) are
@@ -9,13 +9,7 @@
 // experiments (degrees of freedom up to a few thousand).
 package stats
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrDomain is returned for parameters outside a distribution's domain.
-var ErrDomain = errors.New("stats: parameter outside domain")
+import "math"
 
 // LogGamma returns ln Γ(x) for x > 0 (Lanczos approximation, g=7, n=9).
 func LogGamma(x float64) float64 {
@@ -97,12 +91,6 @@ func RegIncBeta(a, b, x float64) float64 {
 }
 
 // --- Normal distribution ---
-
-// NormalPDF returns the density of N(mu, sigma²) at x.
-func NormalPDF(x, mu, sigma float64) float64 {
-	z := (x - mu) / sigma
-	return math.Exp(-0.5*z*z) / (sigma * math.Sqrt(2*math.Pi))
-}
 
 // NormalCDF returns P(X ≤ x) for X ~ N(mu, sigma²).
 func NormalCDF(x, mu, sigma float64) float64 {
@@ -190,17 +178,6 @@ func FCDF(f, d1, d2 float64) float64 {
 	}
 	x := d1 * f / (d1*f + d2)
 	return RegIncBeta(d1/2, d2/2, x)
-}
-
-// FQuantile returns the p-quantile of the F(d1, d2) distribution.
-func FQuantile(p, d1, d2 float64) float64 {
-	if d1 <= 0 || d2 <= 0 || p < 0 || p >= 1 {
-		return math.NaN()
-	}
-	if p == 0 {
-		return 0
-	}
-	return invertCDF(func(x float64) float64 { return FCDF(x, d1, d2) }, p, 0, 1e9)
 }
 
 // FPValue returns P(X > f): the right-tail p-value of an observed F

@@ -70,26 +70,6 @@ func TestNormalCDFKnown(t *testing.T) {
 	}
 }
 
-func TestNormalPDFIntegratesToCDF(t *testing.T) {
-	// Trapezoid integral of the pdf matches the CDF difference.
-	const a, b = -2.0, 1.5
-	n := 20000
-	h := (b - a) / float64(n)
-	var sum float64
-	for i := 0; i <= n; i++ {
-		w := 1.0
-		if i == 0 || i == n {
-			w = 0.5
-		}
-		sum += w * NormalPDF(a+float64(i)*h, 0, 1)
-	}
-	sum *= h
-	want := NormalCDF(b, 0, 1) - NormalCDF(a, 0, 1)
-	if !close(sum, want, 1e-8) {
-		t.Errorf("integral = %v, want %v", sum, want)
-	}
-}
-
 func TestNormalQuantileRoundTrip(t *testing.T) {
 	for _, p := range []float64{0.001, 0.01, 0.025, 0.2, 0.5, 0.8, 0.975, 0.99, 0.999} {
 		x := NormalQuantile(p)
@@ -148,19 +128,6 @@ func TestFCDFKnown(t *testing.T) {
 	}
 }
 
-func TestFQuantileKnown(t *testing.T) {
-	// Classical table value: F_{0.95}(3, 10) = 3.708.
-	if got := FQuantile(0.95, 3, 10); !close(got, 3.708, 5e-3) {
-		t.Errorf("F(0.95;3,10) = %v, want 3.708", got)
-	}
-	for _, p := range []float64{0.1, 0.5, 0.9, 0.99} {
-		x := FQuantile(p, 4, 12)
-		if got := FCDF(x, 4, 12); !close(got, p, 1e-8) {
-			t.Errorf("round trip failed at p=%v: %v", p, got)
-		}
-	}
-}
-
 func TestFPValue(t *testing.T) {
 	if got := FPValue(0, 2, 3); got != 1 {
 		t.Errorf("p-value at F=0 must be 1, got %v", got)
@@ -176,26 +143,12 @@ func TestMeanVarStd(t *testing.T) {
 	if got := Mean(xs); !close(got, 5, 1e-12) {
 		t.Errorf("mean = %v", got)
 	}
-	if got := Variance(xs); !close(got, 32.0/7.0, 1e-12) {
-		t.Errorf("variance = %v, want %v", got, 32.0/7.0)
-	}
-	if got := StdDev(xs); !close(got, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Errorf("stddev = %v", got)
-	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Variance([]float64{1})) {
-		t.Error("degenerate inputs must give NaN")
+	if !math.IsNaN(Mean(nil)) {
+		t.Error("mean of an empty slice must be NaN")
 	}
 }
 
 func TestMinMaxQuantileMedian(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	mn, mx := MinMax(xs)
-	if mn != 1 || mx != 9 {
-		t.Errorf("MinMax = %v,%v", mn, mx)
-	}
-	if got := Median([]float64{1, 2, 3, 4}); !close(got, 2.5, 1e-12) {
-		t.Errorf("median = %v", got)
-	}
 	if got := Quantile([]float64{10, 20, 30}, 0); got != 10 {
 		t.Errorf("q0 = %v", got)
 	}
@@ -216,26 +169,8 @@ func TestRMSAndErrors(t *testing.T) {
 	if got := RMSE(a, b); !close(got, 2/math.Sqrt(3), 1e-12) {
 		t.Errorf("RMSE = %v", got)
 	}
-	if got := MaxAbsErr(a, b); got != 2 {
-		t.Errorf("MaxAbsErr = %v", got)
-	}
 	if !math.IsNaN(RMSE(a, []float64{1})) {
 		t.Error("length mismatch must give NaN")
-	}
-}
-
-func TestPearson(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	b := []float64{2, 4, 6, 8}
-	if got := Pearson(a, b); !close(got, 1, 1e-12) {
-		t.Errorf("perfect correlation = %v", got)
-	}
-	c := []float64{8, 6, 4, 2}
-	if got := Pearson(a, c); !close(got, -1, 1e-12) {
-		t.Errorf("perfect anticorrelation = %v", got)
-	}
-	if !math.IsNaN(Pearson(a, []float64{1, 1, 1, 1})) {
-		t.Error("constant series must give NaN")
 	}
 }
 
