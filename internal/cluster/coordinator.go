@@ -114,8 +114,10 @@ type workerState struct {
 	// from it would stall out) until its next successful results upload
 	// or re-registration proves it responsive again.
 	suspect bool
-	// cache is the latest cumulative counter snapshot the worker reported.
-	cache CacheStats
+	// cache is the newest cumulative counter snapshot the worker reported,
+	// adopted under registration epoch cacheEpoch (see takeCache).
+	cache      CacheStats
+	cacheEpoch string
 
 	// Lifetime counters for the worker ID, surviving re-registration.
 	completed   int
@@ -425,6 +427,28 @@ func (c *Coordinator) Register(req RegisterRequest) (RegisterResponse, error) {
 	}, nil
 }
 
+// takeCache adopts a cumulative cache snapshot the worker reported under
+// epoch, unless it is older than the one held. Within one registration
+// epoch the worker's counters only grow, but a heartbeat and a results
+// upload carry snapshots taken at different moments and may arrive in
+// either order; a snapshot with any counter below the held one's was taken
+// earlier, and adopting it would roll the fleet counters back. The first
+// snapshot of a new epoch is always adopted: a re-registered worker may be
+// a new process counting from zero. Entries is a gauge and follows
+// whichever snapshot is adopted.
+func (w *workerState) takeCache(epoch string, s *CacheStats) {
+	if s == nil {
+		return
+	}
+	h := w.cache
+	if epoch == w.cacheEpoch && (s.Hits < h.Hits || s.Misses < h.Misses ||
+		s.PeerFetches < h.PeerFetches || s.PeerTimeouts < h.PeerTimeouts ||
+		s.PeerServed < h.PeerServed || s.PeerStores < h.PeerStores) {
+		return
+	}
+	w.cache, w.cacheEpoch = *s, epoch
+}
+
 // checkLocked resolves a (worker, epoch) pair to its active state; any
 // mismatch — unknown ID, superseded epoch, lost or evicted incarnation —
 // answers nil, and the caller reports Gone.
@@ -445,9 +469,7 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 		return HeartbeatResponse{Gone: true, Draining: c.draining}
 	}
 	w.lastBeat = time.Now()
-	if req.Cache != nil {
-		w.cache = *req.Cache
-	}
+	w.takeCache(req.Epoch, req.Cache)
 	return HeartbeatResponse{OK: true, Draining: c.draining, Map: c.mapIfNewerLocked(req.Generation)}
 }
 
@@ -526,9 +548,7 @@ func (c *Coordinator) Results(req ResultsRequest) ResultsResponse {
 		return ResultsResponse{Gone: true, Draining: c.draining}
 	}
 	w.lastBeat = time.Now()
-	if req.Cache != nil {
-		w.cache = *req.Cache
-	}
+	w.takeCache(req.Epoch, req.Cache)
 	if w.suspect {
 		// A successful upload proves the worker responsive again: lift the
 		// lease-steal suspicion and let it re-own shards.

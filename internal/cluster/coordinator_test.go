@@ -450,3 +450,60 @@ func TestWorkerLostErrorIsTransient(t *testing.T) {
 		t.Fatalf("error text lacks the reason: %v", err)
 	}
 }
+
+// TestCacheSnapshotsNeverRollBack: a heartbeat's cache snapshot taken
+// before a results upload but delivered after it is ignored, so the fleet
+// cache counters never fall within a registration epoch; a re-registered
+// worker's first snapshot is adopted whatever it holds.
+func TestCacheSnapshotsNeverRollBack(t *testing.T) {
+	cfg := fastConfig()
+	cfg.HeartbeatTimeout = time.Minute // isolate from the loss detector
+	c := NewCoordinator(cfg)
+	defer c.Shutdown()
+	reg, err := c.Register(RegisterRequest{Worker: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	beat := func(epoch string, s CacheStats) {
+		t.Helper()
+		if hb := c.Heartbeat(HeartbeatRequest{Worker: "a", Epoch: epoch, Cache: &s}); !hb.OK {
+			t.Fatalf("heartbeat: %+v", hb)
+		}
+	}
+	want := func(s CacheStats) {
+		t.Helper()
+		if got := c.CacheState().Totals; got != s {
+			t.Fatalf("fleet totals %+v, want %+v", got, s)
+		}
+	}
+
+	older := CacheStats{Hits: 2, Misses: 24, PeerFetches: 1, Entries: 24}
+	newer := CacheStats{Hits: 2, Misses: 25, PeerFetches: 1, Entries: 25}
+	if rr := c.Results(ResultsRequest{Worker: "a", Epoch: reg.Epoch, Lease: "lease-gone", Cache: &newer}); !rr.OK {
+		t.Fatalf("results: %+v", rr)
+	}
+	beat(reg.Epoch, older) // taken before the upload, delivered after it
+	want(newer)
+
+	// A later snapshot is adopted, and the Entries gauge follows it down.
+	later := CacheStats{Hits: 3, Misses: 25, PeerFetches: 1, Entries: 20}
+	beat(reg.Epoch, later)
+	want(later)
+
+	// A snapshot with any counter behind is older, whatever the others say.
+	beat(reg.Epoch, CacheStats{Hits: 9, Misses: 30, PeerFetches: 0, Entries: 30})
+	want(later)
+
+	// A re-registered worker keeps its snapshot until the new epoch
+	// reports; that epoch may be a new process counting from zero.
+	reg2, err := c.Register(RegisterRequest{Worker: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want(later)
+	fresh := CacheStats{Misses: 1, Entries: 1}
+	beat(reg2.Epoch, fresh)
+	want(fresh)
+	beat(reg2.Epoch, CacheStats{})
+	want(fresh)
+}

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/doe"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simcache"
@@ -71,21 +70,21 @@ type batchPoint struct {
 	cfg  sim.Config
 }
 
-// prewarmBatch runs the batch prepass for a set of coded design points:
-// it resolves each point to its concrete (design, config) request, peels
-// the ones the cache already holds, partitions the rest into K-lane
-// chunks grouped by identical config (lanes must share the time base and
-// excitation), and steps each chunk through sim.RunBatchStats. The
-// returned slice holds, per point index, the warmed result or nil; every
-// point the prepass could not settle — build errors, lane errors,
-// unfingerprintable requests, a custom Engine — is left nil for the
-// caller's per-point path with its full retry/timeout semantics.
+// prewarmBatch runs the batch prepass for a design run's resolved
+// requests: it peels the points the cache already holds, partitions the
+// rest into K-lane chunks grouped by identical config (lanes must share
+// the time base and excitation), and steps each chunk through
+// sim.RunBatchStats. The returned slice holds, per point index, the
+// warmed result or nil; every point the prepass could not settle —
+// unresolved points, lane errors, unfingerprintable requests, a custom
+// Engine — is left nil for the caller's per-point path with its full
+// retry/timeout semantics.
 //
 // The prepass is strictly best-effort: it can only pre-pay work the
 // per-point path would do anyway, never fail a run on its own.
-func (p *Problem) prewarmBatch(ctx context.Context, points [][]float64, workers int) ([]*sim.Result, *BatchStats) {
-	stats := &BatchStats{Points: len(points)}
-	warm := make([]*sim.Result, len(points))
+func (p *Problem) prewarmBatch(ctx context.Context, reqs []runRequest, workers int) ([]*sim.Result, *BatchStats) {
+	stats := &BatchStats{Points: len(reqs)}
+	warm := make([]*sim.Result, len(reqs))
 	if p.Engine != nil {
 		// A custom engine is not sim.RunFast; batching would change results.
 		return warm, stats
@@ -102,18 +101,14 @@ func (p *Problem) prewarmBatch(ctx context.Context, points [][]float64, workers 
 	// Resolve points, dedup by cache key, and peel what the cache holds.
 	lookup, _ := runner.(cacheLookup)
 	insert, _ := runner.(cacheInsert)
-	unique := make(map[string]*batchPoint, len(points))
+	unique := make(map[string]*batchPoint, len(reqs))
 	byCfg := make(map[string][]*batchPoint)
-	for i, coded := range points {
-		natural, err := doe.DecodeRun(p.Factors, coded)
-		if err != nil {
-			continue
+	for i, r := range reqs {
+		if r.sc == nil {
+			continue // unresolved: the run resolves itself per attempt
 		}
-		sc, err := p.Build(natural)
-		if err != nil {
-			continue
-		}
-		cfg := sim.Config{Horizon: p.Horizon, DtSlow: p.DtSlow, Source: sc.Source}
+		sc := *r.sc
+		cfg := p.config(sc)
 		key, err := simcache.Fingerprint(EngineFast, sc.Design, cfg)
 		if err != nil {
 			continue // uncacheable request: leave it to the direct path

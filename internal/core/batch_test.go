@@ -119,7 +119,7 @@ func TestPrewarmBatchCustomEngineBypasses(t *testing.T) {
 	p := batchProblem()
 	p.Engine = sim.RunReference
 	pts := [][]float64{{0, 0, 0}, {1, -1, 0.5}}
-	warm, stats := p.prewarmBatch(context.Background(), pts, 2)
+	warm, stats := p.prewarmBatch(context.Background(), resolvedRequests(t, p, pts), 2)
 	if len(warm) != len(pts) || warm[0] != nil || warm[1] != nil {
 		t.Fatalf("custom engine must warm nothing, got %v", warm)
 	}
@@ -203,7 +203,8 @@ func TestPrewarmBatchSharesDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, stats := batchProblem().prewarmBatch(context.Background(), d.Runs, 2)
+	p := batchProblem()
+	warm, stats := p.prewarmBatch(context.Background(), resolvedRequests(t, p, d.Runs), 2)
 	var centre []int
 	for i, run := range d.Runs {
 		if run[0] == 0 && run[1] == 0 && run[2] == 0 {
@@ -221,4 +222,19 @@ func TestPrewarmBatchSharesDuplicates(t *testing.T) {
 	if stats.Lanes != d.N()-len(centre)+1 {
 		t.Fatalf("Lanes = %d, want %d unique points", stats.Lanes, d.N()-len(centre)+1)
 	}
+}
+
+// resolvedRequests resolves coded points to the requests RunDesign hands
+// the prepass.
+func resolvedRequests(t *testing.T, p *Problem, points [][]float64) []runRequest {
+	t.Helper()
+	reqs := make([]runRequest, len(points))
+	for i, coded := range points {
+		sc, err := p.resolve(context.Background(), i, coded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = runRequest{coded: coded, sc: &sc}
+	}
+	return reqs
 }

@@ -191,16 +191,25 @@ func (p *Problem) runSim(ctx context.Context, d sim.Design, cfg sim.Config) (*si
 // the raw result. ctx carries cancellation and the observability trace
 // through to the simulation runner.
 func (p *Problem) SimulateCoded(ctx context.Context, coded []float64) (*sim.Result, error) {
+	sc, err := p.scenario(coded)
+	if err != nil {
+		return nil, err
+	}
+	return p.runSim(ctx, sc.Design, p.config(sc))
+}
+
+// scenario decodes a coded point and builds its scenario.
+func (p *Problem) scenario(coded []float64) (Scenario, error) {
 	natural, err := doe.DecodeRun(p.Factors, coded)
 	if err != nil {
-		return nil, err
+		return Scenario{}, err
 	}
-	sc, err := p.Build(natural)
-	if err != nil {
-		return nil, err
-	}
-	cfg := sim.Config{Horizon: p.Horizon, DtSlow: p.DtSlow, Source: sc.Source}
-	return p.runSim(ctx, sc.Design, cfg)
+	return p.Build(natural)
+}
+
+// config is the simulation config of one of the problem's scenarios.
+func (p *Problem) config(sc Scenario) sim.Config {
+	return sim.Config{Horizon: p.Horizon, DtSlow: p.DtSlow, Source: sc.Source}
 }
 
 // ResponsesAt runs one simulation at a coded point and extracts every

@@ -18,12 +18,14 @@ import (
 
 // RunDesign simulates every run of the design — the expensive, up-front
 // phase of the flow, and the one way a set of coded points is simulated
-// locally. DoE runs are embarrassingly parallel, so the runs spread over a
-// pool of workers goroutines (≤ 0 uses GOMAXPROCS; 1 runs them serially in
-// design order). When ctx is cancelled — or as soon as any run fails — the
-// remaining simulations are abandoned instead of running to completion:
-// workers never start a run after the abort signal; runs already in flight
-// finish (the simulator itself is not preemptible) and are discarded.
+// locally. Each run's scenario is built once, before any simulation
+// starts; a Build error fails the design there. DoE runs are
+// embarrassingly parallel, so the runs spread over a pool of workers
+// goroutines (≤ 0 uses GOMAXPROCS; 1 runs them serially). When ctx is
+// cancelled — or as soon as any run fails — the remaining simulations are
+// abandoned instead of running to completion: workers never start a run
+// after the abort signal; runs already in flight finish (the simulator
+// itself is not preemptible) and are discarded.
 func (p *Problem) RunDesign(ctx context.Context, d *doe.Design, workers int) (*Dataset, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -46,6 +48,30 @@ func (p *Problem) RunDesign(ctx context.Context, d *doe.Design, workers int) (*D
 	lg := obs.FromContext(ctx)
 	lg.Info("design run started", "design", d.Name, "runs", d.N(), "workers", workers)
 	start := time.Now()
+	// Resolve every run to its scenario up front. A Build panic (or any
+	// retryable Build error) becomes the run's first failed attempt, and the
+	// run's retries resolve it again, exactly as if it had failed in the
+	// pool; any other Build error fails the design before anything runs.
+	reqs := make([]runRequest, d.N())
+	for i, coded := range d.Runs {
+		if err := ctx.Err(); err != nil {
+			return &Dataset{Design: d, SimTime: time.Since(start)},
+				fmt.Errorf("core: design run aborted: %w", context.Cause(ctx))
+		}
+		reqs[i].coded = coded
+		sc, err := p.resolve(ctx, i, coded)
+		switch {
+		case err == nil:
+			reqs[i].sc = &sc
+		case IsTransient(err):
+			reqs[i].first = err
+		default:
+			st := runFaultStats{attempts: 1}
+			lg.Warn("sim run failed", "run", i, "attempts", st.attempts, "err", err.Error())
+			lg.Warn("design run aborted", "design", d.Name, "err", err.Error())
+			return &Dataset{Design: d, SimTime: time.Since(start)}, wrapRunErr(i, st, err)
+		}
+	}
 	// Batch scheduler: under EngineBatch, a lockstep prepass simulates the
 	// design's unique uncached points K lanes at a time (bit-identical to
 	// the fast engine — see sim.RunBatch) and the pool below reads each
@@ -57,22 +83,39 @@ func (p *Problem) RunDesign(ctx context.Context, d *doe.Design, workers int) (*D
 		batch *BatchStats
 	)
 	if p.engineName() == EngineBatch {
-		warm, batch = p.prewarmBatch(ctx, d.Runs, workers)
+		warm, batch = p.prewarmBatch(ctx, reqs, workers)
 	}
 	// Points of the built-in fast engine that differ only in slow-side
-	// factors share one open-loop drive: a drive table simulates it in full
-	// once, recording it, and replays it for the rest, bit-identically (see
-	// sim.Drives). The pool below runs a copy of the problem whose engine is
-	// the table, under the same cache name; the table lives for this call.
+	// factors share one open-loop drive: a drive table simulates each drive
+	// in full once, recording it, and replays it for the rest,
+	// bit-identically, in lockstep units (see sim.Drives). The table plans
+	// the handout order so every drive's recording starts first. The pool
+	// below runs a copy of the problem whose engine is the table, under the
+	// same cache name; the table lives for this call.
+	order := make([]int, d.N())
+	for i := range order {
+		order[i] = i
+	}
+	var drives *sim.Drives
 	if p.Engine == nil {
+		drives = &sim.Drives{}
+		designs := make([]sim.Design, d.N())
+		cfgs := make([]sim.Config, d.N())
+		for i, r := range reqs {
+			// Warm and unresolved runs never reach the table's plan.
+			if r.sc != nil && (warm == nil || warm[i] == nil) {
+				designs[i], cfgs[i] = r.sc.Design, p.config(*r.sc)
+			}
+		}
+		order = drives.Plan(designs, cfgs)
 		q := *p
-		q.Engine, q.EngineName = (&sim.Drives{}).RunFast, p.engineName()
+		q.Engine, q.EngineName = drives.RunFast, p.engineName()
 		p = &q
 	}
-	// next hands out run indices; abort stops the handout early. Results
-	// land in a pre-sized slice (one slot per run, no index collisions),
-	// so the only shared state needing a lock is the error and the
-	// work-time counter.
+	// next hands out positions in order; abort stops the handout early.
+	// Results land in a pre-sized slice (one slot per run, no index
+	// collisions), so the only shared state needing a lock is the error and
+	// the work-time counter.
 	var (
 		next    atomic.Int64
 		work    atomic.Int64 // summed run durations, ns
@@ -115,10 +158,11 @@ func (p *Problem) RunDesign(ctx context.Context, d *doe.Design, workers int) (*D
 					fail(fmt.Errorf("core: design run aborted: %w", context.Cause(ctx)))
 					return
 				}
-				i := int(next.Add(1)) - 1
-				if i >= d.N() {
+				pos := int(next.Add(1)) - 1
+				if pos >= d.N() {
 					return
 				}
+				i := order[pos]
 				runStart := time.Now()
 				var (
 					resp map[ResponseID]float64
@@ -128,7 +172,7 @@ func (p *Problem) RunDesign(ctx context.Context, d *doe.Design, workers int) (*D
 				if warm != nil && warm[i] != nil {
 					resp, err = p.responses(warm[i])
 				} else {
-					resp, st, err = p.runWithRetry(ctx, i, d.Runs[i])
+					resp, st, err = p.runWithRetry(ctx, i, reqs[i])
 				}
 				runDur := time.Since(runStart)
 				work.Add(int64(runDur))
@@ -175,10 +219,16 @@ func (p *Problem) RunDesign(ctx context.Context, d *doe.Design, workers int) (*D
 	ds.Retries = int(retries.Load())
 	ds.PanicsRecovered = int(panics.Load())
 	ds.Batch = batch
-	lg.Info("design run finished", "design", d.Name, "runs", d.N(),
-		"sim_ms", float64(ds.SimTime.Microseconds())/1e3,
-		"work_ms", float64(ds.SimWork.Microseconds())/1e3,
-		"speedup", ds.Speedup())
+	attrs := []any{"design", d.Name, "runs", d.N(),
+		"sim_ms", float64(ds.SimTime.Microseconds()) / 1e3,
+		"work_ms", float64(ds.SimWork.Microseconds()) / 1e3,
+		"speedup", ds.Speedup()}
+	if drives != nil {
+		st := drives.Stats()
+		attrs = append(attrs, "drives_recorded", st.Recorded, "runs_replayed", st.Replayed,
+			"replay_units", st.Units, "runs_full", st.Full)
+	}
+	lg.Info("design run finished", attrs...)
 	return ds, nil
 }
 

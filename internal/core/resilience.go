@@ -132,20 +132,56 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// guardedResponses is one simulation attempt with panic containment: a
-// panic anywhere beneath (engine, cache, fault injector) is recovered
-// into a *RunPanicError carrying the design-point index, with the stack
-// logged under the run's trace ID.
-func (p *Problem) guardedResponses(ctx context.Context, i int, coded []float64) (resp map[ResponseID]float64, err error) {
+// runRequest is one design run: its coded point and, when RunDesign has
+// already resolved it, its scenario.
+type runRequest struct {
+	coded []float64
+	sc    *Scenario // nil: every attempt resolves the point itself
+	// first, when non-nil, is the outcome of the run's first attempt: a
+	// resolution that failed retryably (a recovered Build panic), which
+	// leaves sc nil, so later attempts resolve the point themselves, as
+	// the first would have.
+	first error
+}
+
+// recoverRun converts a recovered panic value into a *RunPanicError for
+// run i, logging it with its stack under the run's trace ID.
+func recoverRun(ctx context.Context, i int, r any) error {
+	perr := &RunPanicError{Run: i, Value: r, Stack: debug.Stack()}
+	obs.FromContext(ctx).Error("sim run panicked",
+		"run", i, "panic", fmt.Sprint(r), "stack", string(perr.Stack))
+	return perr
+}
+
+// resolve builds run i's scenario once, for RunDesign, with a Build panic
+// contained the way an attempt contains it.
+func (p *Problem) resolve(ctx context.Context, i int, coded []float64) (sc Scenario, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			perr := &RunPanicError{Run: i, Value: r, Stack: debug.Stack()}
-			obs.FromContext(ctx).Error("sim run panicked",
-				"run", i, "panic", fmt.Sprint(r), "stack", string(perr.Stack))
-			err = perr
+			err = recoverRun(ctx, i, r)
 		}
 	}()
-	return p.ResponsesAt(ctx, coded)
+	return p.scenario(coded)
+}
+
+// guardedResponses is one simulation attempt with panic containment: a
+// panic anywhere beneath (Build, engine, cache, fault injector) is
+// recovered into a *RunPanicError carrying the design-point index, with
+// the stack logged under the run's trace ID.
+func (p *Problem) guardedResponses(ctx context.Context, i int, req runRequest) (resp map[ResponseID]float64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = recoverRun(ctx, i, r)
+		}
+	}()
+	if req.sc == nil {
+		return p.ResponsesAt(ctx, req.coded)
+	}
+	r, err := p.runSim(ctx, req.sc.Design, p.config(*req.sc))
+	if err != nil {
+		return nil, err
+	}
+	return p.responses(r)
 }
 
 // runAttempt is guardedResponses under the problem's per-run deadline.
@@ -160,9 +196,9 @@ func (p *Problem) guardedResponses(ctx context.Context, i int, coded []float64) 
 // context, so they are charged against neither pool's per-run deadline.
 // A deadline expiry always surfaces as a retryable *RunTimeoutError, no
 // matter which side of the race below observes it first.
-func (p *Problem) runAttempt(ctx context.Context, i int, coded []float64) (map[ResponseID]float64, error) {
+func (p *Problem) runAttempt(ctx context.Context, i int, req runRequest) (map[ResponseID]float64, error) {
 	if p.RunTimeout <= 0 {
-		return p.guardedResponses(ctx, i, coded)
+		return p.guardedResponses(ctx, i, req)
 	}
 	tctx, cancel := context.WithTimeout(ctx, p.RunTimeout)
 	defer cancel()
@@ -172,7 +208,7 @@ func (p *Problem) runAttempt(ctx context.Context, i int, coded []float64) (map[R
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		r, err := p.guardedResponses(tctx, i, coded)
+		r, err := p.guardedResponses(tctx, i, req)
 		ch <- outcome{r, err}
 	}()
 	select {
@@ -238,14 +274,19 @@ func wrapRunErr(i int, st runFaultStats, err error) error {
 // the returned stats and in the context's obs.FaultStats (when present),
 // so daemons can expose them as metrics even for runs that ultimately
 // fail.
-func (p *Problem) runWithRetry(ctx context.Context, i int, coded []float64) (map[ResponseID]float64, runFaultStats, error) {
+func (p *Problem) runWithRetry(ctx context.Context, i int, req runRequest) (map[ResponseID]float64, runFaultStats, error) {
 	pol := p.Retry.withDefaults()
 	fs := obs.FaultStatsFrom(ctx)
 	var st runFaultStats
 	var rng *rand.Rand // lazily built: most runs never retry
 	for attempt := 1; ; attempt++ {
 		st.attempts = attempt
-		resp, err := p.runAttempt(ctx, i, coded)
+		var resp map[ResponseID]float64
+		err := req.first
+		req.first = nil
+		if err == nil {
+			resp, err = p.runAttempt(ctx, i, req)
+		}
 		if err == nil {
 			return resp, st, nil
 		}
@@ -297,7 +338,7 @@ func (p *Problem) RunPoint(ctx context.Context, i int, coded []float64) (map[Res
 	if err := p.Validate(); err != nil {
 		return nil, RunStats{}, err
 	}
-	resp, st, err := p.runWithRetry(ctx, i, coded)
+	resp, st, err := p.runWithRetry(ctx, i, runRequest{coded: coded})
 	stats := RunStats{Attempts: st.attempts, Retries: st.retries, Panics: st.panics}
 	if err != nil {
 		return nil, stats, wrapRunErr(i, st, err)

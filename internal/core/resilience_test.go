@@ -378,3 +378,71 @@ func TestNormalizeDeadlineErr(t *testing.T) {
 		t.Fatalf("nil must pass through, got %v", err)
 	}
 }
+
+// TestBuildRunsOncePerRun: RunDesign builds each run's scenario exactly
+// once, before any simulation. A Build error fails the design there, with
+// the run's usual wrapped error and no simulation started; a Build panic
+// is the run's first failed attempt, and the retry builds the scenario
+// again, as an attempt in the pool would.
+func TestBuildRunsOncePerRun(t *testing.T) {
+	design, _ := doe.TwoLevelFactorial(3) // 8 runs
+
+	r := &scriptedRunner{}
+	p := scriptedProblem(r)
+	var builds atomic.Int64
+	build := p.Build
+	p.Build = func(nat []float64) (Scenario, error) {
+		builds.Add(1)
+		return build(nat)
+	}
+	if _, err := p.RunDesign(context.Background(), design, 2); err != nil {
+		t.Fatal(err)
+	}
+	if builds.Load() != int64(design.N()) || r.calls.Load() != int64(design.N()) {
+		t.Fatalf("%d builds and %d runner calls for %d runs, want one each", builds.Load(), r.calls.Load(), design.N())
+	}
+
+	r.calls.Store(0)
+	builds.Store(0)
+	p.Build = func(nat []float64) (Scenario, error) {
+		if builds.Add(1) == 6 {
+			return Scenario{}, fmt.Errorf("synthetic build failure")
+		}
+		return build(nat)
+	}
+	_, err := p.RunDesign(context.Background(), design, 2)
+	if err == nil || err.Error() != "core: run 5 failed: synthetic build failure" {
+		t.Fatalf("err = %v, want run 5's wrapped build failure", err)
+	}
+	if r.calls.Load() != 0 || builds.Load() != 6 {
+		t.Fatalf("%d runner calls and %d builds after a build failure at run 5, want 0 and 6", r.calls.Load(), builds.Load())
+	}
+
+	r.calls.Store(0)
+	builds.Store(0)
+	p.Retry.MaxAttempts = 2
+	p.Build = func(nat []float64) (Scenario, error) {
+		if builds.Add(1) == 3 {
+			panic("synthetic build panic")
+		}
+		return build(nat)
+	}
+	ds, err := p.RunDesign(context.Background(), design, 2)
+	if err != nil {
+		t.Fatalf("one build panic within the retry budget must not fail the design: %v", err)
+	}
+	if ds.PanicsRecovered != 1 || ds.Retries != 1 {
+		t.Fatalf("want 1 panic + 1 retry recorded, got %d/%d", ds.PanicsRecovered, ds.Retries)
+	}
+	if builds.Load() != int64(design.N())+1 || r.calls.Load() != int64(design.N()) {
+		t.Fatalf("%d builds and %d runner calls, want %d and %d", builds.Load(), r.calls.Load(), design.N()+1, design.N())
+	}
+
+	p.Retry.MaxAttempts = 1
+	p.Build = func([]float64) (Scenario, error) { panic("synthetic build panic") }
+	_, err = p.RunDesign(context.Background(), design, 2)
+	var perr *RunPanicError
+	if !errors.As(err, &perr) || !strings.Contains(err.Error(), "synthetic build panic") {
+		t.Fatalf("err = %v, want a *RunPanicError carrying the build panic", err)
+	}
+}

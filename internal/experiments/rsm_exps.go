@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -12,6 +13,8 @@ import (
 	"repro/internal/explore"
 	"repro/internal/report"
 	"repro/internal/rsm"
+	"repro/internal/sim"
+	"repro/internal/simcache"
 )
 
 // standardProblem builds the 4-factor problem used by the RSM experiments.
@@ -359,11 +362,30 @@ func sigStars(p float64) string {
 	}
 }
 
+// engineCounter is a simcache.Runner that counts the engine runs behind
+// it: the requests its next runner (a cache) could not answer.
+type engineCounter struct {
+	next simcache.Runner
+	runs atomic.Int64
+}
+
+func (c *engineCounter) Run(ctx context.Context, engine string, fn simcache.Engine, d sim.Design, cfg sim.Config) (*sim.Result, error) {
+	return c.next.Run(ctx, engine, func(d sim.Design, cfg sim.Config) (*sim.Result, error) {
+		c.runs.Add(1)
+		return fn(d, cfg)
+	}, d, cfg)
+}
+
 // FigF5BuildCost reproduces R-F5: surface quality and build cost versus
 // the number of design runs (maximin LHS of increasing size) — where the
-// "moderate number of simulations" sits on the accuracy/cost curve.
+// "moderate number of simulations" sits on the accuracy/cost curve. The
+// cost is reported twice: as wall-clock simulation time, and clock-free as
+// the engine runs each build executed. The figure simulates against a
+// cache of its own, so both depend only on the figure itself.
 func FigF5BuildCost(cfg Config) (*report.Figure, error) {
 	p := standardProblem(cfg)
+	counter := &engineCounter{next: simcache.New(simcache.Options{})}
+	p.Runner = counter
 	k := len(p.Factors)
 	sizes := []int{16, 24, 40, 64}
 	if cfg.Quick {
@@ -375,16 +397,18 @@ func FigF5BuildCost(cfg Config) (*report.Figure, error) {
 		return nil, err
 	}
 	simVals := held.Y[core.RespStoredEnergy]
-	var ns, rmses, costs []float64
+	var ns, rmses, costs, runs []float64
 	for _, n := range sizes {
 		d, err := doe.LatinHypercube(k, n, cfg.Seed+12, 300)
 		if err != nil {
 			return nil, err
 		}
+		before := counter.runs.Load()
 		ds, err := p.RunDesign(context.Background(), d, 1)
 		if err != nil {
 			return nil, err
 		}
+		runs = append(runs, float64(counter.runs.Load()-before))
 		fit, err := rsm.FitModel(rsm.FullQuadratic(k), d.Runs, ds.Y[core.RespStoredEnergy])
 		if err != nil {
 			return nil, err
@@ -403,6 +427,9 @@ func FigF5BuildCost(cfg Config) (*report.Figure, error) {
 		return nil, err
 	}
 	if err := fig.Add("sim_cost_ms", ns, costs); err != nil {
+		return nil, err
+	}
+	if err := fig.Add("engine_runs", ns, runs); err != nil {
 		return nil, err
 	}
 	fig.AddNote("quadratic model has %d coefficients; validation on %d fresh simulations", rsm.FullQuadratic(k).P(), len(val))

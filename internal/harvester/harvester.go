@@ -76,6 +76,20 @@ func sq(x float64) float64 { return x * x }
 
 // Validate checks physical plausibility of the parameter set.
 func (p Params) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"mass", p.Mass}, {"spring stiffness", p.SpringK}, {"damping", p.DampingC},
+		{"coupling", p.Gamma}, {"coil resistance", p.CoilR}, {"coil inductance", p.CoilL},
+		{"displacement limit", p.MaxDisp}, {"end-stop stiffness", p.StopK},
+		{"tuning stiffness", p.TuneKMax}, {"minimum gap", p.GapMin},
+		{"maximum gap", p.GapMax}, {"force-law exponent", p.GapExp},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("harvester: %s %g must be finite", f.name, f.v)
+		}
+	}
 	switch {
 	case p.Mass <= 0:
 		return fmt.Errorf("harvester: mass %g must be positive", p.Mass)

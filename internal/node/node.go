@@ -53,6 +53,18 @@ func Default() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"period", c.Period}, {"measure time", c.MeasureTime}, {"tx time", c.TxTime},
+		{"boot time", c.BootTime}, {"sleep current", c.SleepI}, {"MCU current", c.McuI},
+		{"sensor current", c.SensorI}, {"tx current", c.TxI}, {"rail voltage", c.VRail},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("node: %s %g must be finite", f.name, f.v)
+		}
+	}
 	switch {
 	case c.Period <= 0:
 		return fmt.Errorf("node: period %g must be positive", c.Period)
@@ -328,7 +340,13 @@ func (n *Node) Step(dt float64, powered bool, vstore float64) float64 {
 				n.enterSleep(vstore)
 			}
 		}
-		seg := math.Min(remaining, n.phaseLeft)
+		// min(remaining, phaseLeft), keeping a NaN phaseLeft as math.Min
+		// would; math.Min itself never inlines and costs several percent
+		// of a simulation.
+		seg := remaining
+		if !(n.phaseLeft >= seg) {
+			seg = n.phaseLeft
+		}
 		if seg <= 0 {
 			seg = remaining
 		}

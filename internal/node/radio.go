@@ -1,6 +1,9 @@
 package node
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
 // LinkConfig models the radio channel: a packet is lost with probability
 // LossProb; after each transmission the node listens AckTime for the
@@ -17,6 +20,14 @@ type LinkConfig struct {
 
 // Validate checks the link parameters.
 func (l LinkConfig) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"loss probability", l.LossProb}, {"ACK window", l.AckTime}, {"receive current", l.RxI}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return errLink(f.name+" must be finite", f.v)
+		}
+	}
 	switch {
 	case l.LossProb < 0 || l.LossProb >= 1:
 		return errLink("loss probability must be in [0, 1)", l.LossProb)

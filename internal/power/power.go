@@ -37,8 +37,22 @@ func DefaultMultiplier() MultiplierParams {
 	return MultiplierParams{Stages: 5, StageCap: 10e-6, DiodeDrop: 0.22, InputR: 4000}
 }
 
+// finite reports the first of named values that is NaN or ±Inf.
+func finite(names []string, vs ...float64) error {
+	for i, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("power: %s %g must be finite", names[i], v)
+		}
+	}
+	return nil
+}
+
 // Validate checks the parameter set.
 func (m MultiplierParams) Validate() error {
+	if err := finite([]string{"stage capacitance", "diode drop", "input resistance"},
+		m.StageCap, m.DiodeDrop, m.InputR); err != nil {
+		return err
+	}
 	switch {
 	case m.Stages < 1:
 		return fmt.Errorf("power: multiplier needs ≥1 stage, got %d", m.Stages)
@@ -76,11 +90,18 @@ func (m MultiplierParams) OutputResistance(f float64) float64 {
 // voltage vstore, for input amplitude vin at frequency f. The diodes block
 // reverse flow, so the current is never negative.
 func (m MultiplierParams) ChargeCurrent(vin, f, vstore float64) float64 {
+	return m.ChargeCurrentWithR(vin, m.OutputResistance(f), vstore)
+}
+
+// ChargeCurrentWithR is ChargeCurrent with the output resistance supplied
+// by the caller (normally an OutputResistance memoized while the pump
+// frequency holds still).
+func (m MultiplierParams) ChargeCurrentWithR(vin, rout, vstore float64) float64 {
 	voc := m.OpenCircuitVoltage(vin)
 	if voc <= vstore {
 		return 0
 	}
-	return (voc - vstore) / m.OutputResistance(f)
+	return (voc - vstore) / rout
 }
 
 // Supercap is a supercapacitor energy store with parallel leakage.
@@ -96,6 +117,10 @@ func DefaultSupercap() Supercap { return Supercap{C: 0.4, LeakR: 4e6, VMax: 5.5}
 
 // Validate checks the parameter set.
 func (s Supercap) Validate() error {
+	if err := finite([]string{"supercap capacitance", "leakage resistance", "voltage limit"},
+		s.C, s.LeakR, s.VMax); err != nil {
+		return err
+	}
 	switch {
 	case s.C <= 0:
 		return fmt.Errorf("power: supercap capacitance %g must be positive", s.C)
@@ -161,6 +186,10 @@ func DefaultRegulator() Regulator { return Regulator{VOut: 1.8, Eff: 0.85, VOn: 
 
 // Validate checks the parameter set.
 func (r Regulator) Validate() error {
+	if err := finite([]string{"regulator output", "efficiency", "VOn", "VOff"},
+		r.VOut, r.Eff, r.VOn, r.VOff); err != nil {
+		return err
+	}
 	switch {
 	case r.VOut <= 0:
 		return fmt.Errorf("power: regulator output %g must be positive", r.VOut)

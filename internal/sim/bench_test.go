@@ -105,3 +105,25 @@ func BenchmarkRunBatch16(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReplayLanes8 measures the same second replayed for eight
+// slow-side variants in one lockstep unit (see Drives.Plan): compare with
+// eight times BenchmarkRunFastReplay for what the shared reset-stream
+// decode and the interleaved slow sides save.
+func BenchmarkReplayLanes8(b *testing.B) {
+	designs := slowSideVariants(DefaultDesign(), 8)
+	cfg := Config{Horizon: 1, Source: benchSource(designs[0])}
+	if err := prepare(designs[0], &cfg); err != nil {
+		b.Fatal(err)
+	}
+	rs := newResetStream(stepCount(cfg))
+	if _, err := runFast(designs[0], cfg, rs); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := replayLanes(designs, cfg, rs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

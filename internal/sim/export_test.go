@@ -5,10 +5,10 @@ package sim
 func (t *Drives) Published() (drives, bytes int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, rs := range t.m {
-		if rs != nil {
+	for _, dr := range t.m {
+		if dr.rs != nil {
 			drives++
-			bytes += rs.bytes()
+			bytes += dr.rs.bytes()
 		}
 	}
 	return drives, bytes

@@ -100,8 +100,14 @@ func (d Design) Validate() error {
 			return err
 		}
 	}
+	if math.IsNaN(d.InitialStoreV) || math.IsInf(d.InitialStoreV, 0) {
+		return fmt.Errorf("sim: initial store voltage %g must be finite", d.InitialStoreV)
+	}
 	if d.InitialStoreV < 0 {
 		return fmt.Errorf("sim: initial store voltage %g must be non-negative", d.InitialStoreV)
+	}
+	if math.IsNaN(d.InitialGap) || math.IsInf(d.InitialGap, 0) {
+		return fmt.Errorf("sim: initial gap %g must be finite", d.InitialGap)
 	}
 	return nil
 }
@@ -189,10 +195,18 @@ type slowSide struct {
 
 	// Every engine steps the slow side at the fixed dt of its Config, so the
 	// two exponential decay factors (envelope release, supercap leak) are
-	// constants of the run, computed once from dt.
+	// constants of the run, computed once from dt, and so is the divider
+	// resistance CoilR+InputR.
 	dt        float64
 	envDecay  float64
 	leakDecay float64
+	rDiv      float64
+
+	// rout is the pump's output resistance N/(f·C) at pump frequency routF.
+	// It is recomputed only when the excitation frequency changes, which a
+	// Sine never does. routF starts as NaN, so the first step computes it.
+	rout  float64
+	routF float64
 
 	harvested float64
 	consumed  float64
@@ -213,6 +227,8 @@ func newSlowSide(d Design, dt float64) (*slowSide, error) {
 		vs:     d.InitialStoreV,
 		envTau: 0.05, // a few vibration cycles
 		dt:     dt,
+		rDiv:   d.Harv.CoilR + d.Mult.InputR,
+		routF:  math.NaN(),
 	}
 	s.envDecay = math.Exp(-dt / s.envTau)
 	s.leakDecay = d.Store.LeakFactor(dt)
@@ -258,8 +274,11 @@ func (s *slowSide) envelope(emf float64) (reset bool) {
 func (s *slowSide) stepEnv(emf, excFreq float64) float64 {
 	dt := s.dt
 	// Multiplier: EMF behind the coil resistance drives the pump input.
-	vin := s.env * s.d.Mult.InputR / (s.d.Harv.CoilR + s.d.Mult.InputR)
-	ichg := s.d.Mult.ChargeCurrent(vin, excFreq, s.vs)
+	vin := s.env * s.d.Mult.InputR / s.rDiv
+	if excFreq != s.routF {
+		s.rout, s.routF = s.d.Mult.OutputResistance(excFreq), excFreq
+	}
+	ichg := s.d.Mult.ChargeCurrentWithR(vin, s.rout, s.vs)
 	s.harvested += ichg * s.vs * dt
 
 	// Tuner draws actuator power straight from the store.

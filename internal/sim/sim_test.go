@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/node"
@@ -43,6 +45,56 @@ func TestValidateRejectsBrokenDesigns(t *testing.T) {
 	d.Tuner = &bad
 	if err := d.Validate(); err == nil {
 		t.Fatal("bad tuner config must be rejected")
+	}
+}
+
+// TestValidateRejectsNonFinite: setting any float field of the design —
+// harvester, multiplier, store, regulator, node, link, initial gap and
+// store voltage — to NaN, +Inf or -Inf fails Validate, so a non-finite
+// parameter can never reach a simulation and come back as a NaN response.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	// floatFields lists the paths of every float64 field reachable through
+	// the design's struct fields (Policy and Tuner are interfaces or
+	// pointers and have validators of their own).
+	var floatFields func(prefix []int, typ reflect.Type, name string) [][]int
+	var names []string
+	floatFields = func(prefix []int, typ reflect.Type, name string) [][]int {
+		var out [][]int
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			path := append(append([]int(nil), prefix...), i)
+			switch f.Type.Kind() {
+			case reflect.Float64:
+				out = append(out, path)
+				names = append(names, name+f.Name)
+			case reflect.Struct:
+				out = append(out, floatFields(path, f.Type, name+f.Name+".")...)
+			}
+		}
+		return out
+	}
+	paths := floatFields(nil, reflect.TypeOf(Design{}), "")
+	// 12 harvester + 3 multiplier + 3 store + 4 regulator + 9 node + 3 link
+	// + InitialGap + InitialStoreV.
+	if len(paths) != 36 {
+		t.Fatalf("found %d float fields, want 36: %v", len(paths), names)
+	}
+	for i, path := range paths {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			d := DefaultDesign()
+			reflect.ValueOf(&d).Elem().FieldByIndex(path).SetFloat(bad)
+			if err := d.Validate(); err == nil {
+				t.Errorf("%s = %v: Validate accepted it", names[i], bad)
+			} else if !strings.Contains(err.Error(), "finite") {
+				t.Errorf("%s = %v: error %q does not say the value must be finite", names[i], bad, err)
+			}
+		}
+	}
+	// A NaN reporting period used to validate and simulate to NaN.
+	d := DefaultDesign()
+	d.Node.Period = math.NaN()
+	if _, err := RunFast(d, Config{Horizon: 1, Source: resonantSource(d)}); err == nil {
+		t.Fatal("RunFast with a NaN node period must fail validation")
 	}
 }
 
